@@ -7,8 +7,6 @@ covers most of the parameter box, so point estimates of adjustment costs
 from this Euler equation should be read with caution.
 """
 
-import os
-
 from eulergmm import (
     BASELINE_INSTRUMENTS,
     InvestmentMeasure,
@@ -36,7 +34,7 @@ def main():
     def evaluator(point):
         return s_statistic(StructuralParams(*point), system, level=0.90)
 
-    grid = invert_test(evaluator, spec, 0.90, threads=os.cpu_count() or 1)
+    grid = invert_test(evaluator, spec, 0.90)
     summary = set_summary(grid)
 
     print(

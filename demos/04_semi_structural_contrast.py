@@ -9,8 +9,6 @@ regressors are close to white noise, the instruments lose their first-stage
 fit, and the set blows up.
 """
 
-import os
-
 from eulergmm import (
     BASELINE_INSTRUMENTS,
     InvestmentMeasure,
@@ -41,7 +39,7 @@ def main():
         def evaluator(point, rho=rho):
             return s_statistic(SemiStructuralParams(rho, *point), system, level=0.90)
 
-        grid = invert_test(evaluator, spec, 0.90, threads=os.cpu_count() or 1)
+        grid = invert_test(evaluator, spec, 0.90)
         summary = set_summary(grid)
         stages = first_stage_diagnostics(rho, system, PHI_K)
         r2 = {s["name"]: s["r2"] for s in stages}

@@ -14,6 +14,7 @@ from .grids import (
     AxisSpec,
     ConfidenceGrid,
     GridSpec,
+    default_cac_grid,
     default_semi_grid,
     default_structural_grid,
     export_grid,

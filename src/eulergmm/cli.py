@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -162,28 +163,24 @@ def cmd_estimate(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
+_DEFAULT_GRIDS = {
+    ModelKind.IAC: grids.default_structural_grid,
+    ModelKind.SEMI: grids.default_semi_grid,
+    ModelKind.CAC: grids.default_cac_grid,
+}
+
+
 def _grid_spec(cfg: RunConfig) -> grids.GridSpec:
-    if cfg.model is ModelKind.SEMI:
-        spec = grids.default_semi_grid(cfg.extra_points)
-        if cfg.grid_points:
-            if len(cfg.grid_points) != 2:
-                raise ConfigError("SEMI grid needs 2 point counts (varphi, phi)")
-            axes = tuple(
-                grids.AxisSpec(a.name, a.lower, a.upper, n, a.include_lower, a.include_upper)
-                for a, n in zip(spec.axes, cfg.grid_points)
-            )
-            spec = grids.GridSpec(axes=axes, extra_points=spec.extra_points)
+    spec = _DEFAULT_GRIDS[cfg.model](cfg.extra_points)
+    if not cfg.grid_points:
         return spec
-    spec = grids.default_structural_grid(cfg.extra_points)
-    if cfg.grid_points:
-        if len(cfg.grid_points) != 3:
-            raise ConfigError("structural grid needs 3 point counts (rho, kappa, zeta)")
-        axes = tuple(
-            grids.AxisSpec(a.name, a.lower, a.upper, n, a.include_lower, a.include_upper)
-            for a, n in zip(spec.axes, cfg.grid_points)
+    if len(cfg.grid_points) != len(spec.axes):
+        raise ConfigError(
+            f"{cfg.model.value} grid needs {len(spec.axes)} point counts "
+            f"({', '.join(spec.names)})"
         )
-        spec = grids.GridSpec(axes=axes, extra_points=spec.extra_points)
-    return spec
+    axes = tuple(dataclasses.replace(a, points=n) for a, n in zip(spec.axes, cfg.grid_points))
+    return grids.GridSpec(axes=axes, extra_points=spec.extra_points)
 
 
 def cmd_grid(cfg: RunConfig, out_dir: str, threads: int) -> int:
@@ -279,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default from config)")
         if name == "grid":
             p.add_argument(
-                "--threads", type=int, default=os.cpu_count() or 1,
-                help="worker threads for lattice evaluation",
+                "--threads", type=int, default=1,
+                help="worker threads for lattice evaluation (default 1: serial is "
+                "faster, since the evaluation holds the interpreter lock)",
             )
 
     p = sub.add_parser("misspec", help="run the misspecification laboratory")

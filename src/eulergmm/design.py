@@ -89,6 +89,9 @@ class MomentSystem:
     z_labels: list[str]
     model: ModelKind = ModelKind.IAC
     constants: Optional[CalibratedConstants] = None
+    #: CUE kernels of this design, keyed by their row samples and bandwidths;
+    #: filled by `inference.cue_kernel`, so Y, X and Z must not change after use.
+    cue_kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = self.Y.shape[0]

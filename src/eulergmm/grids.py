@@ -6,7 +6,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +79,12 @@ def default_structural_grid(extra_points: tuple = ()) -> GridSpec:
         ),
         extra_points=tuple(extra_points),
     )
+
+
+#: Default (rho, sigma, zeta) lattice of the CAC model: the structural box.
+def default_cac_grid(extra_points: tuple = ()) -> GridSpec:
+    rho, kappa, zeta = default_structural_grid(extra_points).axes
+    return GridSpec(axes=(rho, replace(kappa, name="sigma"), zeta), extra_points=tuple(extra_points))
 
 
 #: Default (varphi, phi) lattice at fixed rho.

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 from scipy import linalg, optimize
 
-from .design import MomentSystem, residuals_and_moments
+from .design import MomentSystem
 from .hac import HACConfig, hac_variance
 from .quantiles import chi2_quantile
 
@@ -48,6 +48,9 @@ class TestResult:
     ridge_flagged: bool = False
 
     def __post_init__(self):
+        for name in ("statistic", "critical_value"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.variant} {name} is not finite: {getattr(self, name)!r}")
         if self.accept != (self.statistic <= self.critical_value):
             raise ValueError("accept flag inconsistent with statistic vs critical value")
 
@@ -61,6 +64,7 @@ class TestResult:
             "d_hat": self.d_hat,
             "bandwidth": self.bandwidth,
             "variant": self.variant,
+            "ridge_flagged": self.ridge_flagged,
         }
 
     def to_json(self) -> str:
@@ -99,71 +103,174 @@ def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray
         ) from None
 
 
+@dataclass(frozen=True)
+class CUEKernel:
+    """The CUE moments and their Bartlett HAC on row samples, as forms in (b, d).
+
+    With A = [-X | Y] and c = (d, b), the residual is A c and the moment row is
+    f_t = Z_t (A_t c). A is held as U R with orthonormal columns U (thin QR of
+    the whole sample, the constant first), so that with u = R c a sample's
+    moment sum is g = G u, G = Z'U over its rows, and the HAC of its demeaned
+    rows is V = sum_pq u_p u_q H_pq, where H is the HAC of the sample's
+    demeaned stacked columns Z_i U_p (kP x kP, held as P x k x P x k). Since
+    |A c| = |u| and the residual's mean sits in u_0 alone, the sum cancels no
+    more than the residual itself does. For fixed b, V(d) is quadratic and
+    g(d) linear in d: k x k algebra per trial d, with no pass over the rows.
+    Arrays carry a leading axis over the samples.
+    """
+
+    T: np.ndarray
+    R: np.ndarray
+    G: np.ndarray
+    H: np.ndarray
+    #: (Z'Z)^-1 Z'X over the whole sample, the first step of the two-step seed.
+    w: np.ndarray
+
+    @classmethod
+    def build(cls, sys: MomentSystem, cfg: HACConfig, samples: tuple[slice, ...]) -> "CUEKernel":
+        """Each sample's rows are demeaned and its bandwidth resolved on its own."""
+        Z, X = sys.Z, sys.X
+        T, k = Z.shape
+        U, R = np.linalg.qr(np.column_stack([-X, sys.Y]))
+        P = R.shape[0]
+        M = (U[:, :, None] * Z[:, None, :]).reshape(T, P * k)
+        H = np.stack([hac_variance(M[s] - M[s].mean(axis=0), cfg) for s in samples])
+        G = np.stack([M[s].sum(axis=0).reshape(P, k).T for s in samples])
+        ZX = Z.T @ X[:, 0]
+        try:
+            w = np.linalg.solve(Z.T @ Z / T, ZX)
+        except np.linalg.LinAlgError:
+            w = np.linalg.pinv(Z.T @ Z / T) @ ZX
+        n = len(samples)
+        lengths = np.array([s.stop - s.start for s in samples])
+        return cls(T=lengths, R=R, G=G, H=H.reshape(n, P, k, P, k), w=w)
+
+    def _quad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_pq u_p v_q H_pq for every sample."""
+        n, P, k = self.H.shape[:3]
+        Hu = (u @ self.H.reshape(n, P, -1)).reshape(n, k, P, k)
+        return np.einsum("niqj,q->nij", Hu, v)
+
+    def forms(self, b: np.ndarray, d: float) -> tuple[np.ndarray, ...]:
+        """(g0, g1, V0, V1, V2) with g(d + t) = g0 + t g1, V(d + t) = V0 + t V1 + t^2 V2.
+
+        Expand about a d near the minimum: V0 then has the size of V, where an
+        expansion about d = 0 would lose digits in proportion to (|Y b| / |A c|)^2.
+        """
+        u, v = self.R @ np.append(d, b), self.R[:, 0]
+        C = self._quad(u, v)
+        return (self.G @ u, self.G @ v, self._quad(u, u), C + C.transpose(0, 2, 1),
+                self._quad(v, v))
+
+    def objectives(self, b: np.ndarray, d: float) -> np.ndarray:
+        """The CUE objective (1/T) g' V^-1 g of every sample at (b, d)."""
+        u = self.R @ np.append(d, b)
+        g = self.G @ u
+        x = _solve(self._quad(u, u), g[:, :, None], np.full(len(g), d))[:, :, 0]
+        return np.einsum("ni,ni->n", g, x) / self.T
+
+
+def cue_kernel(
+    sys: MomentSystem, cfg: HACConfig, samples: Optional[tuple[slice, ...]] = None
+) -> CUEKernel:
+    """The CUE kernel of `samples` (default: all rows) of `sys`, cached on it.
+
+    Concurrent first calls may each build the kernel; the builds are
+    identical, so either may be kept.
+    """
+    samples = samples or (slice(0, sys.T),)
+    key = tuple((s.start, s.stop, cfg.resolve_bandwidth(s.stop - s.start)) for s in samples)
+    kern = sys.cue_kernels.get(key)
+    if kern is None:
+        kern = sys.cue_kernels[key] = CUEKernel.build(sys, cfg, samples)
+    return kern
+
+
 def cue_objective(
     sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig
 ) -> tuple[float, bool]:
     """Continuously-updated GMM objective (1/T) g' V^-1 g at (b, d).
 
-    The covariance V is recomputed — and the moment contributions re-demeaned —
-    at every trial d.
+    V is the HAC of the moment rows demeaned at this d, read off the system's
+    CUE kernel.
     """
-    _, F = residuals_and_moments(sys, b, float(d))
-    g = F.sum(axis=0)
-    W = F - F.mean(axis=0)
-    V = hac_variance(W, cfg)
-    x, flagged = _solve_spd(V, g, context=f"d={d!r}")
-    return float(g @ x) / sys.T, flagged
+    b = np.asarray(b, dtype=float)
+    if b.shape != (sys.Y.shape[1],):
+        raise ValueError(f"b has shape {b.shape}, expected ({sys.Y.shape[1]},)")
+    g, _, V, _, _ = cue_kernel(sys, cfg).forms(b, float(d))
+    x, flagged = _solve_spd(V[0], g[0], context=f"d={d!r}")
+    return float(g[0] @ x) / sys.T, flagged
 
 
-def _seed_d(sys: MomentSystem, b: np.ndarray, cfg: HACConfig) -> tuple[float, float]:
-    """Two-step GMM estimate of the scalar d and its standard error."""
-    a = sys.Z.T @ (sys.Y @ b)
-    c = sys.Z.T @ sys.X[:, 0]
-    ZZ = sys.Z.T @ sys.Z / sys.T
+#: Trial values of d scanned across the bracket before the slope-root polish.
+CUE_SCAN_POINTS = 65
+
+_EPS = np.finfo(float).eps
+
+
+def _solve(V: np.ndarray, rhs: np.ndarray, d) -> np.ndarray:
+    """V x = rhs, for one V or a stack; a singular V goes to `_solve_spd` (d names it)."""
     try:
-        Wa = np.linalg.solve(ZZ, np.column_stack([a, c]))
+        return np.linalg.solve(V, rhs)
     except np.linalg.LinAlgError:
-        Wa = np.linalg.pinv(ZZ) @ np.column_stack([a, c])
-    d1 = float(c @ Wa[:, 0]) / float(c @ Wa[:, 1])
-
-    _, F = residuals_and_moments(sys, b, d1)
-    V = hac_variance(F - F.mean(axis=0), cfg)
-    sol, _ = _solve_spd(V, np.column_stack([a, c]), context=f"two-step seed d={d1!r}")
-    denom = float(c @ sol[:, 1])
-    if denom <= 0:
-        return d1, max(1.0, abs(d1))
-    d2 = float(c @ sol[:, 0]) / denom
-    se = float(np.sqrt(sys.T / denom))
-    return d2, se
+        if V.ndim == 2:
+            return _solve_spd(V, rhs, context=f"d={d!r}")[0]
+        return np.array([_solve(Vi, ri, di) for Vi, ri, di in zip(V, rhs, d)])
 
 
 def minimize_cue(
     sys: MomentSystem, b: np.ndarray, cfg: HACConfig
 ) -> tuple[float, float, bool]:
-    """Minimize the CUE objective over the scalar d; returns (stat, d_hat, flagged)."""
-    d0, se = _seed_d(sys, b, cfg)
-    if not np.isfinite(d0):
-        d0, se = 0.0, 1.0
+    """Minimize the CUE objective over the scalar d; returns (stat, d_hat, flagged).
+
+    The two-step GMM estimate d0 and its standard error se set the bracket
+    d0 +- 10 se. A scan of the bracket finds every node pair where the analytic
+    slope turns from negative to positive; each such root is polished to
+    machine precision, and the lowest of these minima and the two bracket ends
+    is returned. The ridge flag is that of the solve at d_hat.
+    """
+    kern = cue_kernel(sys, cfg)
+    b = np.asarray(b, dtype=float)
+
+    # two-step seed: the first step weighs the moments by (Z'Z)^-1, the second
+    # by V(d1)^-1; everything after is in t = d - d1
+    a, c = kern.G[0] @ (kern.R[:, 1:] @ b), -(kern.G[0] @ kern.R[:, 0])
+    d1 = float(kern.w @ a) / float(kern.w @ c)
+    if not np.isfinite(d1):
+        d1 = 0.0
+    g0, g1, V0, V1, V2 = (f[0] for f in kern.forms(b, d1))
+    sol, _ = _solve_spd(V0, np.column_stack([g0, c]), context=f"two-step seed d={d1!r}")
+    denom = float(c @ sol[:, 1])
+    if denom > 0:
+        t0, se = float(c @ sol[:, 0]) / denom, float(np.sqrt(sys.T / denom))
+    else:
+        t0, se = 0.0, max(1.0, abs(d1))
+    if not np.isfinite(t0):
+        t0, se = 0.0, 1.0
     se = max(se, 1e-12)
-    lo, hi = d0 - 10.0 * se, d0 + 10.0 * se
 
-    flags = {"ridge": False}
+    def slope(t):
+        x = _solve(V0 + t * (V1 + t * V2), g0 + t * g1, d1 + t)
+        return 2.0 * g1 @ x - x @ (V1 + 2.0 * t * V2) @ x
 
-    def obj(d: float) -> float:
-        val, flagged = cue_objective(sys, b, d, cfg)
-        flags["ridge"] |= flagged
-        return val
+    t = t0 + se * np.linspace(-10.0, 10.0, CUE_SCAN_POINTS)
+    tt = t[:, None, None]
+    g = g0 + t[:, None] * g1
+    x = _solve(V0 + tt * (V1 + tt * V2), g[:, :, None], d1 + t)[:, :, 0]
+    q = np.einsum("ni,ni->n", g, x)
+    s = 2.0 * x @ g1 - np.einsum("ni,nij,nj->n", x, V1 + 2.0 * tt * V2, x)
 
-    res = optimize.minimize_scalar(
-        obj, bounds=(lo, hi), method="bounded",
-        options={"xatol": max(1e-12, 1e-10 * se)},
-    )
-    best_d, best_v = float(res.x), float(res.fun)
-    for d in (d0, lo, hi):
-        v = obj(d)
-        if v < best_v - 1e-10:
-            best_d, best_v = float(d), v
-    return best_v, best_d, flags["ridge"]
+    cands = [(q[0], t[0]), (q[-1], t[-1])]
+    xtol = 1e-12 * se
+    for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
+        r = optimize.brentq(slope, t[i], t[i + 1], xtol=xtol, rtol=4.0 * _EPS)
+        gr = g0 + r * g1
+        cands.append((gr @ _solve(V0 + r * (V1 + r * V2), gr, d1 + r), r))
+    best = min((cand for cand in cands if np.isfinite(cand[0])), default=(0.0, t0))[1]
+    gb = g0 + best * g1
+    d_hat = d1 + best
+    xb, flagged = _solve_spd(V0 + best * (V1 + best * V2), gb, context=f"d={d_hat!r}")
+    return float(gb @ xb) / sys.T, float(d_hat), flagged
 
 
 def s_statistic(
@@ -220,20 +327,6 @@ def _populate_qll_table() -> None:
 _populate_qll_table()
 
 
-def _row_slice(sys: MomentSystem, rows: slice) -> MomentSystem:
-    return MomentSystem(
-        Y=sys.Y[rows],
-        X=sys.X[rows],
-        Z=sys.Z[rows],
-        coeff=sys.coeff,
-        jacobian=sys.jacobian,
-        y_labels=sys.y_labels,
-        z_labels=sys.z_labels,
-        model=sys.model,
-        constants=sys.constants,
-    )
-
-
 def qll_b_component(
     b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat: float
 ) -> float:
@@ -245,15 +338,15 @@ def qll_b_component(
     breakpoint and taking the worst one.
     """
     T = sys.T
-    best = 0.0
-    for frac in QLL_BREAK_FRACTIONS:
-        tau = int(round(frac * T))
-        if tau <= sys.k_z or T - tau <= sys.k_z:
-            continue
-        s_pre, _ = cue_objective(_row_slice(sys, slice(0, tau)), b, d_hat, cfg)
-        s_post, _ = cue_objective(_row_slice(sys, slice(tau, T)), b, d_hat, cfg)
-        best = max(best, s_pre + s_post)
-    return best
+    taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
+    samples = tuple(
+        part for tau in taus if sys.k_z < tau < T - sys.k_z
+        for part in (slice(0, tau), slice(tau, T))
+    )
+    if not samples:
+        return 0.0
+    sides = cue_kernel(sys, cfg, samples).objectives(b, d_hat).reshape(-1, 2)
+    return max(0.0, float(sides.sum(axis=1).max()))
 
 
 def qll_s_statistic(

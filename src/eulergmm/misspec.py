@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,8 @@ def simulate_dgp(cfg: MisspecConfig, seed: int | None = None) -> SimulatedPaths:
     A burn-in of 1000 periods is discarded and the first `truncation_lag`
     post-burn-in observations are dropped so the filter start-up is negligible.
     """
+    from scipy import signal  # loads scipy.stats, so only when a path is simulated
+
     rng = _rng(cfg.seed if seed is None else seed)
     theta = pseudo_true_theta(cfg.gamma)
     J = truncation_lag(theta)

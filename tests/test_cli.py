@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eulergmm.cli import main
+from eulergmm.cli import build_parser, main
 from eulergmm.pipeline import read_panel_csv
 
 
@@ -128,6 +128,25 @@ class TestGrid:
         last = rows[-1].split(",")
         assert float(last[3]) == pytest.approx(est["statistic"], rel=1e-5)
         assert int(last[6]) == int(est["accept"])
+
+
+    def test_cac_lattice_names_sigma(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[data]\nsnapshot = true\n[model]\nkind = CAC\n"
+            "[instruments]\nlags = delta_i:2, r_p:3, u:2\n[grid]\npoints = 2, 2, 2\n",
+        )
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        header = (tmp_path / "o" / "grid.csv").read_text().splitlines()[0]
+        assert header == "rho,sigma,zeta,stat,df,crit,accept,error"
+
+    def test_point_count_must_match_axes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[data]\nsnapshot = true\n[grid]\npoints = 2, 2\n")
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "IAC grid needs 3 point counts (rho, kappa, zeta)" in capsys.readouterr().err
+
+    def test_threads_default_serial(self):
+        assert build_parser().parse_args(["grid", "--config", "run.ini"]).threads == 1
 
 
 class TestMisspec:

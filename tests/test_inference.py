@@ -104,14 +104,26 @@ class TestSStatistic:
         payload = json.loads(r.to_json())
         assert set(payload) == {
             "statistic", "df", "critical_value", "level", "accept",
-            "d_hat", "bandwidth", "variant",
+            "d_hat", "bandwidth", "variant", "ridge_flagged",
         }
+        assert payload["ridge_flagged"] is False
         assert payload["variant"] == "S"
         assert payload["df"] == 3
 
     def test_accept_flag_consistency_enforced(self):
         with pytest.raises(ValueError, match="inconsistent"):
             Result(statistic=10.0, df=3, critical_value=6.25, level=0.9, accept=True)
+
+    @pytest.mark.parametrize("stat,crit", [(np.nan, 6.25), (np.inf, 6.25), (1.0, np.nan)])
+    def test_non_finite_values_rejected(self, stat, crit):
+        # NaN <= crit is False, so a NaN statistic would otherwise read as a reject
+        with pytest.raises(ValueError, match="not finite"):
+            Result(statistic=stat, df=3, critical_value=crit, level=0.9, accept=False)
+
+    def test_ridge_flag_serialized(self):
+        r = Result(statistic=1.0, df=3, critical_value=6.25, level=0.9, accept=True,
+                   ridge_flagged=True)
+        assert r.to_dict()["ridge_flagged"] is True
 
 
 class TestQLLStatistic:

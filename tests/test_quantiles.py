@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 from scipy import special
@@ -45,3 +47,18 @@ class TestChi2Quantile:
     def test_invalid_inputs(self, df, level):
         with pytest.raises(ValueError):
             chi2_quantile(df, level)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone is about half a second of import time
+    code = "import sys, eulergmm.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_matches_scipy_stats_ppf():
+    from scipy import stats
+
+    for df in (1, 3, 8, 26):
+        for level in (0.5, 0.9, 0.95, 0.99, 1 - 0.1 / 14):
+            assert chi2_quantile(df, level) == pytest.approx(stats.chi2.ppf(level, df), rel=1e-12)
