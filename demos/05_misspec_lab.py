@@ -8,32 +8,29 @@ cov(z*, z - z*) that drives the bias of a regression on z* in place of the
 correct z -- all checked against Monte Carlo.
 """
 
-from eulergmm.misspec import (
-    MisspecConfig,
-    bias_demo,
-    closed_form_cov,
-    monte_carlo_cov,
-    pseudo_true_theta,
-)
+from eulergmm.misspec import MisspecConfig, lab_report
 
 
 def main():
     for gamma in (0.1, 0.25, 0.4):
-        cfg = MisspecConfig(gamma=gamma, zeta_true=1.0, T=100_000, reps=10, seed=0)
-        theta = pseudo_true_theta(gamma)
-        pt = closed_form_cov(theta, 1.0)
-        mc_cov, mc_se = monte_carlo_cov(cfg)
-        demo = bias_demo(cfg)
+        r = lab_report(MisspecConfig(gamma=gamma, zeta_true=1.0, T=100_000, reps=10, seed=0))
+        pt, mc, demo = r["pseudo_true"], r["monte_carlo_cov"], r["bias_demo"]
         print(f"gamma = {gamma}:")
-        print(f"  pseudo-true theta*          {theta:.6f}")
-        print(f"  var(omega*) closed form     {pt.var_omega_star:.6f}")
-        print(f"  cov(z*, z-z*) closed form   {pt.cov_zstar_err:+.6f}")
-        print(f"  cov(z*, z-z*) Monte Carlo   {mc_cov:+.6f} (se {mc_se:.1e})")
+        print(f"  pseudo-true theta*          {pt['theta_star']:.6f}")
+        print(f"  var(omega*) closed form     {pt['var_omega_star']:.6f}")
+        print(f"  cov(z*, z-z*) closed form   {pt['cov_zstar_err']:+.6f}")
+        print(
+            f"  cov(z*, z-z*) Monte Carlo   {mc['estimate']:+.6f} "
+            f"(se {mc['std_error']:.1e}, z {mc['z_score']:+.2f})"
+        )
         print(
             f"  slope on z* (misspecified)  {demo['zeta_hat_misspecified']:.4f}"
             f"  vs on z (correct) {demo['zeta_hat_correct']:.4f}"
         )
-        print(f"  closed-form plim            {demo['theoretical_plim']:.4f}\n")
+        print(
+            f"  closed-form plim            {demo['theoretical_plim']:.4f}"
+            f" (z {demo['z_score']:+.2f})\n"
+        )
 
     print(
         "The closed forms and the Monte Carlo agree. The covariance is\n"

@@ -14,6 +14,7 @@ from .grids import (
     AxisSpec,
     ConfidenceGrid,
     GridSpec,
+    collect_results,
     default_cac_grid,
     default_semi_grid,
     default_structural_grid,
@@ -28,7 +29,9 @@ from .inference import (
     TestResult,
     first_stage_diagnostics,
     qll_s_statistic,
+    qll_s_statistics,
     s_statistic,
+    s_statistics,
     split_sample_s_statistic,
 )
 from .models import (

@@ -121,21 +121,20 @@ class ConfidenceGrid:
                 raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
 
 
-def invert_test(
-    evaluator: Callable[[np.ndarray], TestResult],
+def collect_results(
     spec: GridSpec,
     level: float,
-    threads: int = 1,
+    points: np.ndarray,
+    outcomes: Sequence,
     variant: str = "S",
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
-    """Evaluate the test at every lattice point and collect acceptance flags.
+    """The confidence set from one TestResult, or the exception raised, per point.
 
-    A point where the evaluator raises is recorded as rejected with its error
-    flag set; more than 50% failing points aborts the run. Output is merged by
-    lattice index, so it is identical for serial and threaded evaluation.
+    A point whose outcome is an exception is recorded as rejected with its
+    error flag set; more than 50% failing points aborts the run, naming the
+    first 10 failures in lattice order.
     """
-    points = make_grid(spec)
     n = points.shape[0]
     stats = np.full(n, np.nan)
     dfs = np.zeros(n, dtype=int)
@@ -143,26 +142,16 @@ def invert_test(
     accepts = np.zeros(n, dtype=int)
     errors = np.zeros(n, dtype=int)
     messages: list[str] = []
-
-    def run_one(i: int) -> None:
-        try:
-            r = evaluator(points[i])
-        except Exception as exc:  # recorded, not fatal (unless >50% fail)
+    for i, r in enumerate(outcomes):
+        if isinstance(r, Exception):
             errors[i] = 1
             if len(messages) < 10:
-                messages.append(f"point {points[i].tolist()}: {exc}")
-            return
+                messages.append(f"point {points[i].tolist()}: {r}")
+            continue
         stats[i] = r.statistic
         dfs[i] = r.df
         crits[i] = r.critical_value
         accepts[i] = int(r.accept)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(n)))
-    else:
-        for i in range(n):
-            run_one(i)
 
     if errors.sum() > 0.5 * n:
         raise RuntimeError(
@@ -181,6 +170,36 @@ def invert_test(
         variant=variant,
         metadata=dict(metadata or {}),
     )
+
+
+def invert_test(
+    evaluator: Callable[[np.ndarray], TestResult],
+    spec: GridSpec,
+    level: float,
+    threads: int = 1,
+    variant: str = "S",
+    metadata: Optional[dict] = None,
+) -> ConfidenceGrid:
+    """Evaluate the test at every lattice point and collect acceptance flags.
+
+    A point where the evaluator raises is recorded as by `collect_results`.
+    Output is merged by lattice index, so it is identical for serial and
+    threaded evaluation.
+    """
+    points = make_grid(spec)
+
+    def run_one(point: np.ndarray):
+        try:
+            return evaluator(point)
+        except Exception as exc:  # recorded, not fatal (unless >50% fail)
+            return exc
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(run_one, points))
+    else:
+        outcomes = [run_one(p) for p in points]
+    return collect_results(spec, level, points, outcomes, variant, metadata)
 
 
 def set_summary(g: ConfidenceGrid) -> dict:

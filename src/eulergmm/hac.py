@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,7 +26,7 @@ class HACConfig:
     def resolve_bandwidth(self, T: int) -> int:
         """`auto` uses the standard rule floor(4 * (T/100)^(2/9))."""
         if self.bandwidth == "auto":
-            return int(np.floor(4.0 * (T / 100.0) ** (2.0 / 9.0)))
+            return math.floor(4.0 * (T / 100.0) ** (2.0 / 9.0))
         return int(self.bandwidth)
 
 

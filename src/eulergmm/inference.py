@@ -10,11 +10,12 @@ statistic is robust to many weak instruments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import linalg, optimize
 
 from .design import MomentSystem
 from .hac import HACConfig, hac_variance
@@ -49,7 +50,7 @@ class TestResult:
 
     def __post_init__(self):
         for name in ("statistic", "critical_value"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{self.variant} {name} is not finite: {getattr(self, name)!r}")
         if self.accept != (self.statistic <= self.critical_value):
             raise ValueError("accept flag inconsistent with statistic vs critical value")
@@ -84,23 +85,55 @@ def _coeff_vector(theta0, sys: MomentSystem) -> np.ndarray:
 def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
     """Solve V x = rhs for symmetric positive-definite V.
 
-    On factorization failure a single ridge of 1e-12 * trace/k is added and the
-    result flagged; a second failure is a hard error.
+    A Cholesky factorization decides definiteness. On its failure a single
+    ridge of 1e-12 * trace/k is added and the result flagged; a second
+    failure is a hard error.
     """
     try:
-        c = linalg.cho_factor(V, check_finite=False)
-        return linalg.cho_solve(c, rhs, check_finite=False), False
-    except linalg.LinAlgError:
+        np.linalg.cholesky(V)
+        return np.linalg.solve(V, rhs), False
+    except np.linalg.LinAlgError:
         pass
     k = V.shape[0]
-    ridge = 1e-12 * np.trace(V) / k
+    V = V + 1e-12 * np.trace(V) / k * np.eye(k)
     try:
-        c = linalg.cho_factor(V + ridge * np.eye(k), check_finite=False)
-        return linalg.cho_solve(c, rhs, check_finite=False), True
-    except linalg.LinAlgError:
+        np.linalg.cholesky(V)
+        return np.linalg.solve(V, rhs), True
+    except np.linalg.LinAlgError:
         raise SingularCovarianceError(
             f"HAC covariance singular even after ridge ({context})"
         ) from None
+
+
+def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_solve_spd` for a stack of V: (x, flagged, singular), x NaN on singular rows."""
+    n = len(V)
+    try:
+        np.linalg.cholesky(V)
+        return np.linalg.solve(V, rhs), np.zeros(n, bool), np.zeros(n, bool)
+    except np.linalg.LinAlgError:
+        pass
+    x, flagged, singular = np.full(rhs.shape, np.nan), np.zeros(n, bool), np.zeros(n, bool)
+    for i in range(n):
+        try:
+            x[i], flagged[i] = _solve_spd(V[i], rhs[i], context="")
+        except SingularCovarianceError:
+            singular[i] = True
+    return x, flagged, singular
+
+
+def _solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """V x = rhs for a stack of V; a singular V takes `_solve_spd`'s ridge, or NaN past it."""
+    try:
+        return np.linalg.solve(V, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    if V.ndim > 2:
+        return np.array([_solve(Vi, ri) for Vi, ri in zip(V, rhs)])
+    try:
+        return _solve_spd(V, rhs, context="")[0]
+    except SingularCovarianceError:
+        return np.full(rhs.shape, np.nan)
 
 
 @dataclass(frozen=True)
@@ -112,11 +145,15 @@ class CUEKernel:
     the whole sample, the constant first), so that with u = R c a sample's
     moment sum is g = G u, G = Z'U over its rows, and the HAC of its demeaned
     rows is V = sum_pq u_p u_q H_pq, where H is the HAC of the sample's
-    demeaned stacked columns Z_i U_p (kP x kP, held as P x k x P x k). Since
-    |A c| = |u| and the residual's mean sits in u_0 alone, the sum cancels no
-    more than the residual itself does. For fixed b, V(d) is quadratic and
-    g(d) linear in d: k x k algebra per trial d, with no pass over the rows.
-    Arrays carry a leading axis over the samples.
+    demeaned stacked columns Z_i U_p (kP x kP, held as P x n x k x P x k for
+    n samples). Since |A c| = |u| and the residual's mean sits in u_0 alone,
+    the sum cancels no more than the residual itself does. For fixed b, V(d)
+    is quadratic and g(d) linear in d: k x k algebra per trial d, with no pass
+    over the rows. The methods take coefficient rows b (... x m) with d (...),
+    and their results lead with the sample axis. Products with a row are
+    stacked matrix products (`u[..., None, :] @ ...`), one per row: a 2-D
+    product would let BLAS round a row differently with the batch's size, and
+    a row's numbers must not depend on the rest of its batch.
     """
 
     T: np.ndarray
@@ -132,7 +169,7 @@ class CUEKernel:
         Z, X = sys.Z, sys.X
         T, k = Z.shape
         U, R = np.linalg.qr(np.column_stack([-X, sys.Y]))
-        P = R.shape[0]
+        P, n = R.shape[0], len(samples)
         M = (U[:, :, None] * Z[:, None, :]).reshape(T, P * k)
         H = np.stack([hac_variance(M[s] - M[s].mean(axis=0), cfg) for s in samples])
         G = np.stack([M[s].sum(axis=0).reshape(P, k).T for s in samples])
@@ -141,33 +178,62 @@ class CUEKernel:
             w = np.linalg.solve(Z.T @ Z / T, ZX)
         except np.linalg.LinAlgError:
             w = np.linalg.pinv(Z.T @ Z / T) @ ZX
-        n = len(samples)
-        lengths = np.array([s.stop - s.start for s in samples])
-        return cls(T=lengths, R=R, G=G, H=H.reshape(n, P, k, P, k), w=w)
+        return cls(
+            T=np.array([s.stop - s.start for s in samples]), R=R, G=G,
+            H=np.ascontiguousarray(H.reshape(n, P, k, P, k).transpose(1, 0, 2, 3, 4)), w=w,
+        )
 
-    def _quad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """sum_pq u_p v_q H_pq for every sample."""
-        n, P, k = self.H.shape[:3]
-        Hu = (u @ self.H.reshape(n, P, -1)).reshape(n, k, P, k)
-        return np.einsum("niqj,q->nij", Hu, v)
+    @cached_property
+    def g1(self) -> np.ndarray:
+        """dg/dd of every sample; it does not depend on (b, d)."""
+        return self.G @ self.R[:, 0]
 
-    def forms(self, b: np.ndarray, d: float) -> tuple[np.ndarray, ...]:
+    @cached_property
+    def V2(self) -> np.ndarray:
+        """(1/2) d2V/dd2 of every sample; it does not depend on (b, d)."""
+        v = self.R[:, 0]
+        return np.einsum("...niqj,q->n...ij", self._partial_u(v), v)
+
+    @cached_property
+    def seed(self) -> np.ndarray:
+        """The seed's first step as a map of b, d1 = b . seed: the whole
+        sample's moments weighed by (Z'Z)^-1."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.G[0] @ self.R[:, 1:]).T @ self.w / -(self.w @ self.g1[0])
+
+    def _partial_u(self, u: np.ndarray) -> np.ndarray:
+        """sum_p u_p H_pq of every sample, for rows u (... x P): ... x n x k x P x k."""
+        P, n, k = self.H.shape[:3]
+        Hu = u[..., None, :] @ self.H.reshape(P, -1)
+        return Hu.reshape(u.shape[:-1] + (n, k, P, k))
+
+    def _partial(self, b: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+        """u = R (d, b) and its `_partial_u` for every row."""
+        c = np.concatenate([np.asarray(d, dtype=float)[..., None], b], axis=-1)
+        u = (c[..., None, :] @ self.R.T)[..., 0, :]
+        return u, self._partial_u(u)
+
+    def forms(self, b: np.ndarray, d) -> tuple[np.ndarray, ...]:
         """(g0, g1, V0, V1, V2) with g(d + t) = g0 + t g1, V(d + t) = V0 + t V1 + t^2 V2.
 
         Expand about a d near the minimum: V0 then has the size of V, where an
         expansion about d = 0 would lose digits in proportion to (|Y b| / |A c|)^2.
         """
-        u, v = self.R @ np.append(d, b), self.R[:, 0]
-        C = self._quad(u, v)
-        return (self.G @ u, self.G @ v, self._quad(u, u), C + C.transpose(0, 2, 1),
-                self._quad(v, v))
+        u, Hu = self._partial(b, d)
+        C = np.einsum("...niqj,q->n...ij", Hu, self.R[:, 0])
+        return (np.einsum("nkp,...p->n...k", self.G, u), self.g1,
+                np.einsum("...niqj,...q->n...ij", Hu, u), C + np.swapaxes(C, -1, -2), self.V2)
 
-    def objectives(self, b: np.ndarray, d: float) -> np.ndarray:
-        """The CUE objective (1/T) g' V^-1 g of every sample at (b, d)."""
-        u = self.R @ np.append(d, b)
-        g = self.G @ u
-        x = _solve(self._quad(u, u), g[:, :, None], np.full(len(g), d))[:, :, 0]
-        return np.einsum("ni,ni->n", g, x) / self.T
+    def objectives(self, b: np.ndarray, d) -> np.ndarray:
+        """The CUE objective (1/T) g' V^-1 g of every sample and row at (b, d).
+
+        NaN where V is singular even after `_solve_spd`'s ridge.
+        """
+        u, Hu = self._partial(b, d)
+        g = np.einsum("nkp,...p->n...k", self.G, u)
+        x = _solve(np.einsum("...niqj,...q->n...ij", Hu, u), g[..., None])
+        T = self.T.reshape(self.T.shape + (1,) * (g.ndim - 2))
+        return np.einsum("n...i,n...i->n...", g, x[..., 0]) / T
 
 
 def cue_kernel(
@@ -202,20 +268,159 @@ def cue_objective(
     return float(g[0] @ x) / sys.T, flagged
 
 
+#: Coefficient rows minimised together; bounds the memory of the stacked scan
+#: (64 rows of 65 nodes) and of qLL-S's subsample objectives.
+BATCH_CHUNK = 64
+
 #: Trial values of d scanned across the bracket before the slope-root polish.
 CUE_SCAN_POINTS = 65
+_SCAN = np.linspace(-10.0, 10.0, CUE_SCAN_POINTS)
 
-_EPS = np.finfo(float).eps
+#: The Newton polish stops at a step below this fraction of se. A tighter
+#: stop sits under the rounding noise of the slope, where steps bounce.
+NEWTON_XTOL = 1e-10
+#: Enough safeguarded steps to bisect a scan interval down to NEWTON_XTOL.
+_NEWTON_STEPS = 100
 
 
-def _solve(V: np.ndarray, rhs: np.ndarray, d) -> np.ndarray:
-    """V x = rhs, for one V or a stack; a singular V goes to `_solve_spd` (d names it)."""
+def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
+    """Slope roots in every - to + sign change of the scan: (rows, roots, q).
+
+    Lockstep Newton steps on s(t) = 2 g1'x - x'V'x, x = V^-1 g, with
+    s'(t) = 2 h'V^-1 h - 2 x'V2 x and h = g1 - V'x, from the regula-falsi
+    point of each bracket. A step that would leave the bracket, or that is
+    more than half the step before last (the slope's rounding noise at an
+    ill-conditioned V), bisects instead. q is g'x at each root's last
+    evaluated iterate, within NEWTON_XTOL se of the root, where q is stationary.
+    """
+    rows, cols = np.nonzero((s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0))
+    roots, q = np.empty(rows.size), np.empty(rows.size)
+    lo, hi = t[rows, cols], t[rows, cols + 1]
+    r = lo - s[rows, cols] * (hi - lo) / (s[rows, cols + 1] - s[rows, cols])
+    live, tol = np.arange(rows.size), NEWTON_XTOL * se[rows]
+    last = older = hi - lo  # sizes of the last two steps
+    g0, V0, V1 = g0[rows], V0[rows], V1[rows]
+    # one solve per step: V^-1 [g | g1 | V'] gives x, and x' = V^-1 g1 - V^-1 V' x
+    rhs = np.empty(V0.shape[:2] + (V0.shape[2] + 2,))
+    rhs[..., 1] = g1
+    for step in range(_NEWTON_STEPS if rows.size else 0):
+        rr = r[:, None, None]
+        A = V1 + rr * V2
+        rhs[..., 0], rhs[..., 2:] = g0 + r[:, None] * g1, A + rr * V2
+        sol = _solve(V0 + rr * A, rhs)
+        h = g1 - (rhs[..., 2:] @ sol[..., :1])[..., 0]
+        xd = sol[..., 1] - (sol[..., 2:] @ sol[..., :1])[..., 0]
+        x = sol[..., 0]
+        slope = np.einsum("mi,mi->m", x, g1 + h)
+        curve = 2.0 * (np.einsum("mi,mi->m", xd, h) - np.einsum("mi,ij,mj->m", x, V2, x))
+        neg = slope < 0.0
+        lo, hi = np.where(neg, r, lo), np.where(neg, hi, r)
+        dt = slope / curve
+        new = r - dt
+        newton = (new >= lo) & (new <= hi) & (np.abs(dt) <= 0.5 * older)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        older, last = last, np.abs(new - r)
+        going = last > tol
+        if step == _NEWTON_STEPS - 1:
+            going[:] = False
+        elif going.all():
+            r = new
+            continue
+        stop = ~going
+        roots[live[stop]] = new[stop]
+        q[live[stop]] = np.einsum("mi,mi->m", rhs[stop, :, 0], x[stop])
+        if not going.any():
+            break
+        live, r, lo, hi, tol, older, last, g0, V0, V1, rhs = (
+            a[going] for a in (live, new, lo, hi, tol, older, last, g0, V0, V1, rhs)
+        )
+    return rows, roots, q
+
+
+def _positive_definite(V: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack has a Cholesky factor."""
     try:
-        return np.linalg.solve(V, rhs)
+        np.linalg.cholesky(V)
+        return np.ones(len(V), bool)
     except np.linalg.LinAlgError:
-        if V.ndim == 2:
-            return _solve_spd(V, rhs, context=f"d={d!r}")[0]
-        return np.array([_solve(Vi, ri, di) for Vi, ri, di in zip(V, rhs, d)])
+        if len(V) == 1:
+            return np.zeros(1, bool)
+        return np.concatenate([_positive_definite(V[i:i + 1]) for i in range(len(V))])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
+    """`minimize_cue` for every coefficient row of B, each step stacked over the rows.
+
+    Returns (stat, d_hat, flagged, errors); errors[i] is the
+    SingularCovarianceError of row i or None, and the row is NaN if set.
+    """
+    N = len(B)
+    errors: list = [None] * N
+    # two-step seed: the first step weighs the moments by (Z'Z)^-1, the second
+    # by V(d1)^-1; everything after is in t = d - d1
+    d1 = (B * kern.seed).sum(axis=-1)
+    d1[~np.isfinite(d1)] = 0.0
+    g0, g1, V0, V1, V2 = (f[0] for f in kern.forms(B, d1))
+    c = -g1
+    rhs = np.empty(g0.shape + (2,))
+    rhs[..., 0], rhs[..., 1] = g0, c
+    sol, _, singular = _solve_spd_rows(V0, rhs)
+    for i in np.flatnonzero(singular):
+        errors[i] = SingularCovarianceError(
+            f"HAC covariance singular even after ridge (two-step seed d={float(d1[i])!r})"
+        )
+    num, denom = np.einsum("i,nij->jn", c, sol)
+    t0, se = num / denom, np.sqrt(T / denom)
+    if not (denom > 0).all() or not np.isfinite(t0).all():
+        flat = ~(denom > 0)
+        t0[flat], se[flat] = 0.0, np.maximum(1.0, np.abs(d1[flat]))
+        bad = ~np.isfinite(t0)
+        t0[bad], se[bad] = 0.0, 1.0
+    se = np.maximum(se, 1e-12)
+
+    # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
+    # of those minima and the two bracket ends
+    keep = np.flatnonzero(~singular)
+    if keep.size < N:
+        g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
+    t = t0[:, None] + se[:, None] * _SCAN
+    tt = t[..., None, None]
+    g = g0[:, None] + t[..., None] * g1
+    x = _solve(V0[:, None] + tt * (V1[:, None] + tt * V2), g[..., None])[..., 0]
+    q = np.einsum("nsi,nsi->ns", g, x)
+    s = (2.0 * x @ g1 - np.einsum("nsi,nij,nsj->ns", x, V1, x)
+         - 2.0 * t * np.einsum("nsi,ij,nsj->ns", x, V2, x))
+    rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)
+    # candidates in the order both ends, then the roots, so ties keep the first
+    ar = np.arange(len(t))
+    owner = np.concatenate([ar, ar, rows])
+    cand_q = np.concatenate([q[:, 0], q[:, -1], q_roots])
+    cand_t = np.concatenate([t[:, 0], t[:, -1], roots])
+    cand_q[~np.isfinite(cand_q)] = np.inf
+    order = np.lexsort((cand_q, owner))
+    pick = order[np.searchsorted(owner[order], ar)]
+    best = np.where(cand_q[pick] < np.inf, cand_t[pick], t0)
+
+    # the ridge flag and the error come from the factorization at d_hat; a
+    # row that needs the ridge is solved again with it
+    bb = best[:, None, None]
+    Vb = V0 + bb * (V1 + bb * V2)
+    stat_k, flagged_k = cand_q[pick] / T, np.zeros(len(t), bool)
+    redo = np.flatnonzero(~(stat_k < np.inf) | ~_positive_definite(Vb))
+    singular_k = np.zeros(0, bool)
+    if redo.size:
+        gb = g0[redo] + best[redo, None] * g1
+        xb, flagged_k[redo], singular_k = _solve_spd_rows(Vb[redo], gb[..., None])
+        stat_k[redo] = np.einsum("ni,ni->n", gb, xb[..., 0]) / T
+    stat, d_hat, flagged = np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool)
+    stat[keep], d_hat[keep], flagged[keep] = stat_k, d1 + best, flagged_k
+    for i in keep[redo[singular_k]]:
+        errors[i] = SingularCovarianceError(
+            f"HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
+        )
+        stat[i] = d_hat[i] = np.nan
+    return stat, d_hat, flagged, errors
 
 
 def minimize_cue(
@@ -225,52 +430,92 @@ def minimize_cue(
 
     The two-step GMM estimate d0 and its standard error se set the bracket
     d0 +- 10 se. A scan of the bracket finds every node pair where the analytic
-    slope turns from negative to positive; each such root is polished to
-    machine precision, and the lowest of these minima and the two bracket ends
-    is returned. The ridge flag is that of the solve at d_hat.
+    slope turns from negative to positive; each such root is polished by a
+    safeguarded Newton search to 1e-10 se, and the lowest of these minima and
+    the two bracket ends is returned. The ridge flag is that of the solve at
+    d_hat. This is a batch of one of the lattice path (`s_statistics`).
     """
+    B = np.asarray(b, dtype=float)[None]
+    stat, d_hat, flagged, errors = _minimize_rows(cue_kernel(sys, cfg), B, sys.T)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(stat[0]), float(d_hat[0]), bool(flagged[0])
+
+
+def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
+    """(B, stat, d_hat, flagged, errors): coefficient rows and CUE minima of the points.
+
+    A point whose coefficient map or minimisation fails carries its exception
+    in `errors` and NaN elsewhere; the other points are unaffected. (A failed
+    map leaves a NaN row, which the minimisation records as singular; the
+    map's own error is the one kept.)
+    """
+    n = len(thetas)
+    B = np.full((n, sys.Y.shape[1]), np.nan)
+    errors: list = [None] * n
+    for i, theta in enumerate(thetas):
+        try:
+            B[i] = _coeff_vector(theta, sys)
+        except Exception as exc:  # recorded on its own row
+            errors[i] = exc
+    stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
     kern = cue_kernel(sys, cfg)
-    b = np.asarray(b, dtype=float)
+    for lo in range(0, n, BATCH_CHUNK):
+        part = slice(lo, lo + BATCH_CHUNK)
+        stat[part], d_hat[part], flagged[part], errs = _minimize_rows(kern, B[part], sys.T)
+        errors[part] = [mine or theirs for mine, theirs in zip(errors[part], errs)]
+    return B, stat, d_hat, flagged, errors
 
-    # two-step seed: the first step weighs the moments by (Z'Z)^-1, the second
-    # by V(d1)^-1; everything after is in t = d - d1
-    a, c = kern.G[0] @ (kern.R[:, 1:] @ b), -(kern.G[0] @ kern.R[:, 0])
-    d1 = float(kern.w @ a) / float(kern.w @ c)
-    if not np.isfinite(d1):
-        d1 = 0.0
-    g0, g1, V0, V1, V2 = (f[0] for f in kern.forms(b, d1))
-    sol, _ = _solve_spd(V0, np.column_stack([g0, c]), context=f"two-step seed d={d1!r}")
-    denom = float(c @ sol[:, 1])
-    if denom > 0:
-        t0, se = float(c @ sol[:, 0]) / denom, float(np.sqrt(sys.T / denom))
-    else:
-        t0, se = 0.0, max(1.0, abs(d1))
-    if not np.isfinite(t0):
-        t0, se = 0.0, 1.0
-    se = max(se, 1e-12)
 
-    def slope(t):
-        x = _solve(V0 + t * (V1 + t * V2), g0 + t * g1, d1 + t)
-        return 2.0 * g1 @ x - x @ (V1 + 2.0 * t * V2) @ x
+def _outcomes(errors: list, make: Callable[[int], TestResult]) -> list:
+    """make(i) for each row without an error; otherwise the row's error or make's."""
+    out = []
+    for i, err in enumerate(errors):
+        try:
+            out.append(make(i) if err is None else err)
+        except ValueError as exc:
+            out.append(exc)
+    return out
 
-    t = t0 + se * np.linspace(-10.0, 10.0, CUE_SCAN_POINTS)
-    tt = t[:, None, None]
-    g = g0 + t[:, None] * g1
-    x = _solve(V0 + tt * (V1 + tt * V2), g[:, :, None], d1 + t)[:, :, 0]
-    q = np.einsum("ni,ni->n", g, x)
-    s = 2.0 * x @ g1 - np.einsum("ni,nij,nj->n", x, V1 + 2.0 * tt * V2, x)
 
-    cands = [(q[0], t[0]), (q[-1], t[-1])]
-    xtol = 1e-12 * se
-    for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
-        r = optimize.brentq(slope, t[i], t[i + 1], xtol=xtol, rtol=4.0 * _EPS)
-        gr = g0 + r * g1
-        cands.append((gr @ _solve(V0 + r * (V1 + r * V2), gr, d1 + r), r))
-    best = min((cand for cand in cands if np.isfinite(cand[0])), default=(0.0, t0))[1]
-    gb = g0 + best * g1
-    d_hat = d1 + best
-    xb, flagged = _solve_spd(V0 + best * (V1 + best * V2), gb, context=f"d={d_hat!r}")
-    return float(gb @ xb) / sys.T, float(d_hat), flagged
+def _require_overidentified(sys: MomentSystem) -> None:
+    if sys.df <= 0:
+        raise ValueError(
+            f"just-identified or under-identified system (df={sys.df}) is unsupported"
+        )
+
+
+def _one(outcomes: list) -> TestResult:
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def s_statistics(
+    thetas: Sequence,
+    sys: MomentSystem,
+    cfg: HACConfig = HACConfig(),
+    level: float = 0.90,
+) -> list:
+    """`s_statistic` at every point: its TestResult, or the exception it raised.
+
+    The points are minimised together, BATCH_CHUNK at a time.
+    """
+    _require_overidentified(sys)
+    _, stat, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
+    crit = chi2_quantile(sys.df, level)
+    bandwidth = cfg.resolve_bandwidth(sys.T)
+    return _outcomes(errors, lambda i: TestResult(
+        statistic=float(stat[i]),
+        df=sys.df,
+        critical_value=crit,
+        level=level,
+        accept=bool(stat[i] <= crit),
+        d_hat=float(d_hat[i]),
+        bandwidth=bandwidth,
+        variant="S",
+        ridge_flagged=bool(flagged[i]),
+    ))
 
 
 def s_statistic(
@@ -280,24 +525,7 @@ def s_statistic(
     level: float = 0.90,
 ) -> TestResult:
     """S test: the concentrated CUE objective against a chi-squared critical value."""
-    if sys.df <= 0:
-        raise ValueError(
-            f"just-identified or under-identified system (df={sys.df}) is unsupported"
-        )
-    b = _coeff_vector(theta0, sys)
-    stat, d_hat, flagged = minimize_cue(sys, b, cfg)
-    crit = chi2_quantile(sys.df, level)
-    return TestResult(
-        statistic=stat,
-        df=sys.df,
-        critical_value=crit,
-        level=level,
-        accept=stat <= crit,
-        d_hat=d_hat,
-        bandwidth=cfg.resolve_bandwidth(sys.T),
-        variant="S",
-        ridge_flagged=flagged,
-    )
+    return _one(s_statistics([theta0], sys, cfg, level))
 
 
 # --- qLL-S -------------------------------------------------------------------
@@ -327,15 +555,15 @@ def _populate_qll_table() -> None:
 _populate_qll_table()
 
 
-def qll_b_component(
-    b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat: float
-) -> float:
+def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     """Subsample-instability component: sup over breakpoints of S_pre + S_post.
 
     This is a non-canonical, clearly-labeled fallback: holding d at the
     full-sample optimum, it detects moment violations that cancel over the
     full sample by evaluating the objective on each side of every candidate
-    breakpoint and taking the worst one.
+    breakpoint and taking the worst one. For coefficient rows b (N x m) and
+    d_hat (N,) it returns one component per row, BATCH_CHUNK rows at a time;
+    a row is NaN where a subsample covariance is singular even after the ridge.
     """
     T = sys.T
     taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
@@ -343,10 +571,70 @@ def qll_b_component(
         part for tau in taus if sys.k_z < tau < T - sys.k_z
         for part in (slice(0, tau), slice(tau, T))
     )
-    if not samples:
-        return 0.0
-    sides = cue_kernel(sys, cfg, samples).objectives(b, d_hat).reshape(-1, 2)
-    return max(0.0, float(sides.sum(axis=1).max()))
+    B, d = np.atleast_2d(np.asarray(b, dtype=float)), np.atleast_1d(np.asarray(d_hat, float))
+    out = np.zeros(len(B))
+    if samples:
+        kern = cue_kernel(sys, cfg, samples)
+        for lo in range(0, len(B), BATCH_CHUNK):
+            part = slice(lo, lo + BATCH_CHUNK)
+            sides = kern.objectives(B[part], d[part])  # (breakpoint, side) x row
+            splits = sides.reshape(-1, 2, sides.shape[-1]).sum(axis=1)
+            out[part] = np.maximum(0.0, splits.max(axis=0))
+    return float(out[0]) if np.ndim(b) == 1 else out
+
+
+def qll_s_statistics(
+    thetas: Sequence,
+    sys: MomentSystem,
+    cfg: HACConfig = HACConfig(),
+    level: float = 0.90,
+    b_components: Optional[Sequence[float]] = None,
+) -> list:
+    """`qll_s_statistic` at every point: its TestResult, or the exception it raised.
+
+    `b_components`, one per point, substitutes externally computed components.
+    """
+    _require_overidentified(sys)
+    if sys.k_x != 1:
+        raise ValueError("the qLL fallback supports only a scalar included instrument")
+    key = (sys.k_z, round(level, 6))
+    if key not in QLL_CRITICAL_VALUES:
+        raise ValueError(
+            f"no embedded qLL critical value for {sys.k_z} moments at level {level}; "
+            f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
+        )
+    B, s, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
+    if b_components is None:
+        ok = np.flatnonzero([e is None for e in errors])
+        comps = np.full(len(errors), np.nan)
+        comps[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
+    else:
+        comps = np.asarray(b_components, dtype=float)
+    crit = QLL_CRITICAL_VALUES[key]
+    bandwidth = cfg.resolve_bandwidth(sys.T)
+
+    def make(i: int) -> TestResult:
+        comp = float(comps[i])
+        if comp < 0:
+            raise ValueError(f"subsample component must be >= 0, got {comp}")
+        if not np.isfinite(comp):
+            raise SingularCovarianceError(
+                f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
+            )
+        stat = (10.0 / 11.0) * float(s[i]) + comp
+        return TestResult(
+            statistic=stat,
+            df=sys.df,
+            critical_value=crit,
+            level=level,
+            accept=stat <= crit,
+            d_hat=float(d_hat[i]),
+            bandwidth=bandwidth,
+            variant="qLL-S(sup-split)",
+            ridge_flagged=bool(flagged[i]),
+        )
+
+    return _outcomes(errors, make)
 
 
 def qll_s_statistic(
@@ -362,36 +650,8 @@ def qll_s_statistic(
     passing `b_component` substitutes an externally computed value. Critical
     values come from the embedded table keyed by (moment count, level).
     """
-    if sys.df <= 0:
-        raise ValueError(
-            f"just-identified or under-identified system (df={sys.df}) is unsupported"
-        )
-    if sys.k_x != 1:
-        raise ValueError("the qLL fallback supports only a scalar included instrument")
-    key = (sys.k_z, round(level, 6))
-    if key not in QLL_CRITICAL_VALUES:
-        raise ValueError(
-            f"no embedded qLL critical value for {sys.k_z} moments at level {level}; "
-            f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
-        )
-    b = _coeff_vector(theta0, sys)
-    s, d_hat, flagged = minimize_cue(sys, b, cfg)
-    B = qll_b_component(b, sys, cfg, d_hat) if b_component is None else float(b_component)
-    if B < 0:
-        raise ValueError(f"subsample component must be >= 0, got {B}")
-    stat = (10.0 / 11.0) * s + B
-    crit = QLL_CRITICAL_VALUES[key]
-    return TestResult(
-        statistic=stat,
-        df=sys.df,
-        critical_value=crit,
-        level=level,
-        accept=stat <= crit,
-        d_hat=d_hat,
-        bandwidth=cfg.resolve_bandwidth(sys.T),
-        variant="qLL-S(sup-split)",
-        ridge_flagged=flagged,
-    )
+    comps = None if b_component is None else [b_component]
+    return _one(qll_s_statistics([theta0], sys, cfg, level, comps))
 
 
 # --- split-sample S ----------------------------------------------------------
@@ -434,8 +694,8 @@ def split_sample_s_statistic(
     W = Ybar @ J  # T x n_p combinations whose fit is learned on sample 1
     Z1, W1 = Zbar[:T1], W[:T1]
     try:
-        pi1 = linalg.solve(Z1.T @ Z1, Z1.T @ W1, assume_a="sym")
-    except linalg.LinAlgError:
+        pi1 = np.linalg.solve(Z1.T @ Z1, Z1.T @ W1)
+    except np.linalg.LinAlgError:
         raise ValueError("singular Z'Z on the first subsample") from None
 
     Z2, Y2 = Zbar[start2:], Ybar[start2:]

@@ -126,6 +126,31 @@ def truncation_lag(theta_star: float) -> int:
     return int(math.ceil(math.log(TRUNCATION_TOL) / math.log(abs(theta_star))))
 
 
+#: Values per block of `ar1_filter`'s Toeplitz product.
+AR1_BLOCK = 64
+
+
+def ar1_filter(a: float, x: np.ndarray) -> np.ndarray:
+    """y_t = x_t + a y_{t-1} from y_{-1} = 0, as scipy.signal.lfilter([1], [1, -a], x).
+
+    Each block of AR1_BLOCK values is filtered from a zero start by one
+    Toeplitz product; the block ends then follow the same recursion with
+    coefficient a^AR1_BLOCK, and each block adds a^(j+1) times the end of the
+    block before it.
+    """
+    x = np.asarray(x, dtype=float)
+    n, m = x.size, AR1_BLOCK
+    lags = np.subtract.outer(np.arange(m), np.arange(m))
+    L = np.tril(float(a) ** np.maximum(lags, 0))
+    blocks = np.zeros((-(-n // m), m))
+    blocks.flat[:n] = x
+    y = blocks @ L.T
+    if len(y) > 1:
+        ends = ar1_filter(float(a) ** m, y[:, -1])
+        y[1:] += ends[:-1, None] * float(a) ** np.arange(1, m + 1)
+    return y.ravel()[:n]
+
+
 def simulate_dgp(cfg: MisspecConfig, seed: int | None = None) -> SimulatedPaths:
     """Simulate x_t = gamma x_{t-1} + omega_t and the misfiltered shock omega*.
 
@@ -133,15 +158,13 @@ def simulate_dgp(cfg: MisspecConfig, seed: int | None = None) -> SimulatedPaths:
     A burn-in of 1000 periods is discarded and the first `truncation_lag`
     post-burn-in observations are dropped so the filter start-up is negligible.
     """
-    from scipy import signal  # loads scipy.stats, so only when a path is simulated
-
     rng = _rng(cfg.seed if seed is None else seed)
     theta = pseudo_true_theta(cfg.gamma)
     J = truncation_lag(theta)
     n = BURN_IN + J + cfg.T
     omega = rng.normal(0.0, cfg.sigma_omega, size=n)
-    x = signal.lfilter([1.0], [1.0, -cfg.gamma], omega)
-    omega_star = signal.lfilter([1.0], [1.0, theta], x)
+    x = ar1_filter(cfg.gamma, omega)
+    omega_star = ar1_filter(-theta, x)
     keep = slice(BURN_IN + J, n)
     x, omega, omega_star = x[keep], omega[keep], omega_star[keep]
     return SimulatedPaths(
@@ -154,15 +177,33 @@ def simulate_dgp(cfg: MisspecConfig, seed: int | None = None) -> SimulatedPaths:
     )
 
 
-def monte_carlo_cov(cfg: MisspecConfig) -> tuple[float, float]:
-    """Estimate cov(z*, z - z*) across replications; returns (estimate, std error)."""
-    draws = np.empty(cfg.reps)
+def _replications(cfg: MisspecConfig, slopes: bool = True) -> np.ndarray:
+    """Per replication (reps x 3): cov(z*, z - z*), then the OLS slopes of
+    y = zeta z + e on z* (misspecified) and on z (correct), NaN unless `slopes`.
+
+    Each replication's paths are simulated once and serve both statistics.
+    """
+    out = np.full((cfg.reps, 3), np.nan)
     for i in range(cfg.reps):
         p = simulate_dgp(cfg, seed=cfg.seed + i)
-        err = p.z - p.z_star
-        draws[i] = float(np.cov(p.z_star, err)[0, 1])
-    se = float(draws.std(ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else float("inf")
+        out[i, 0] = np.cov(p.z_star, p.z - p.z_star)[0, 1]
+        if slopes:
+            rng = _rng(cfg.seed + 7_000_003 + i)  # shock orthogonal to the system
+            y = cfg.zeta_true * p.z + rng.normal(0.0, 1.0, size=p.z.size)
+            out[i, 1:] = _ols_slope(y, p.z_star), _ols_slope(y, p.z)
+    return out
+
+
+def _mean_se(draws: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean and its standard error (inf for a single draw)."""
+    n = draws.size
+    se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return float(draws.mean()), se
+
+
+def monte_carlo_cov(cfg: MisspecConfig) -> tuple[float, float]:
+    """Estimate cov(z*, z - z*) across replications; returns (estimate, std error)."""
+    return _mean_se(_replications(cfg, slopes=False)[:, 0])
 
 
 def _ols_slope(y: np.ndarray, x: np.ndarray) -> float:
@@ -170,6 +211,33 @@ def _ols_slope(y: np.ndarray, x: np.ndarray) -> float:
     if vx <= 0:
         raise ValueError("degenerate regressor variance")
     return float(np.cov(x, y)[0, 1] / np.cov(x, x)[0, 0])
+
+
+def _check_regressor(cfg: MisspecConfig) -> None:
+    if cfg.gamma == 0.0:
+        raise ValueError(
+            "bias_demo needs gamma != 0: at gamma = 0 the regressor z = gamma*x "
+            "is identically zero"
+        )
+
+
+def _bias_summary(cfg: MisspecConfig, draws: np.ndarray) -> dict:
+    theta = pseudo_true_theta(cfg.gamma)
+    pt = closed_form_cov(theta, cfg.sigma_omega**2)
+    var_zstar = theta**2 * pt.var_omega_star
+    plim = cfg.zeta_true * (1.0 + pt.cov_zstar_err / var_zstar)
+    mis, mis_se = _mean_se(draws[:, 1])
+    cor, cor_se = _mean_se(draws[:, 2])
+    return {
+        "zeta_hat_misspecified": mis,
+        "zeta_hat_misspecified_se": mis_se,
+        "zeta_hat_correct": cor,
+        "zeta_hat_correct_se": cor_se,
+        "theoretical_plim": float(plim),
+        "theta_star": theta,
+        "var_omega_star": pt.var_omega_star,
+        "cov_zstar_err": pt.cov_zstar_err,
+    }
 
 
 def bias_demo(cfg: MisspecConfig) -> dict:
@@ -181,46 +249,25 @@ def bias_demo(cfg: MisspecConfig) -> dict:
     with cov(z*, z - z*) = -theta*^4 var(omega*) and var(z*) = theta*^2
     var(omega*) it equals zeta * (1 - theta*^2), e.g. 0.75 zeta at gamma = 0.4.
     """
-    if cfg.gamma == 0.0:
-        raise ValueError(
-            "bias_demo needs gamma != 0: at gamma = 0 the regressor z = gamma*x "
-            "is identically zero"
-        )
-    theta = pseudo_true_theta(cfg.gamma)
-    pt = closed_form_cov(theta, cfg.sigma_omega**2)
-    var_zstar = theta**2 * pt.var_omega_star
-    plim = cfg.zeta_true * (1.0 + pt.cov_zstar_err / var_zstar)
-
-    mis = np.empty(cfg.reps)
-    cor = np.empty(cfg.reps)
-    for i in range(cfg.reps):
-        p = simulate_dgp(cfg, seed=cfg.seed + i)
-        rng = _rng(cfg.seed + 7_000_003 + i)  # shock orthogonal to the system
-        e = rng.normal(0.0, 1.0, size=p.z.size)
-        y = cfg.zeta_true * p.z + e
-        cor[i] = _ols_slope(y, p.z)
-        mis[i] = _ols_slope(y, p.z_star)
-    def _se(a: np.ndarray) -> float:
-        return float(a.std(ddof=1) / math.sqrt(cfg.reps)) if cfg.reps > 1 else float("inf")
-
-    return {
-        "zeta_hat_misspecified": float(mis.mean()),
-        "zeta_hat_misspecified_se": _se(mis),
-        "zeta_hat_correct": float(cor.mean()),
-        "zeta_hat_correct_se": _se(cor),
-        "theoretical_plim": float(plim),
-        "theta_star": theta,
-        "var_omega_star": pt.var_omega_star,
-        "cov_zstar_err": pt.cov_zstar_err,
-    }
+    _check_regressor(cfg)
+    return _bias_summary(cfg, _replications(cfg))
 
 
 def lab_report(cfg: MisspecConfig) -> dict:
-    """Full laboratory output: pseudo-true values, Monte Carlo covariance, bias demo."""
+    """Full laboratory output: pseudo-true values, Monte Carlo covariance, bias demo.
+
+    The covariance and the misspecified slope carry their Monte Carlo z-scores,
+    (estimate - closed form) / standard error; each replication is simulated
+    once for both.
+    """
+    _check_regressor(cfg)
     theta = pseudo_true_theta(cfg.gamma)
     pt = closed_form_cov(theta, cfg.sigma_omega**2)
-    mc_cov, mc_se = monte_carlo_cov(cfg)
-    demo = bias_demo(cfg)
+    draws = _replications(cfg)
+    mc_cov, mc_se = _mean_se(draws[:, 0])
+    demo = _bias_summary(cfg, draws)
+    demo["z_score"] = (demo["zeta_hat_misspecified"] - demo["theoretical_plim"]) / demo[
+        "zeta_hat_misspecified_se"]
     return {
         "config": {
             "gamma": cfg.gamma,
@@ -235,6 +282,10 @@ def lab_report(cfg: MisspecConfig) -> dict:
             "var_omega_star": pt.var_omega_star,
             "cov_zstar_err": pt.cov_zstar_err,
         },
-        "monte_carlo_cov": {"estimate": mc_cov, "std_error": mc_se},
+        "monte_carlo_cov": {
+            "estimate": mc_cov,
+            "std_error": mc_se,
+            "z_score": (mc_cov - pt.cov_zstar_err) / mc_se,
+        },
         "bias_demo": demo,
     }

@@ -109,13 +109,13 @@ def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
                 gap = q - quarters[-1]
                 if gap == 0:
                     raise PipelineError(f"{path}: row {row_no}: duplicate quarter {q}")
+                if gap < 0:
+                    raise PipelineError(f"{path}: row {row_no}: dates not increasing")
                 if gap != 1:
                     missing = quarters[-1] + 1
                     raise PipelineError(
                         f"{path}: row {row_no}: gap in quarters, missing {missing}"
                     )
-                if gap < 0:
-                    raise PipelineError(f"{path}: row {row_no}: dates not increasing")
             try:
                 v = float(row[1])
             except (IndexError, ValueError):
@@ -331,9 +331,13 @@ def read_panel_csv(path: str | os.PathLike) -> Dataset:
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise PipelineError(
+                    f"{path}: row {row_no}: {len(row)} fields, expected {len(header)}"
+                )
             try:
                 quarters.append(QuarterIndex.parse(row[0]))
-                rows.append([float(x) for x in row[1 : 1 + len(names)]])
+                rows.append([float(x) for x in row[1:]])
             except ValueError as exc:
                 raise PipelineError(f"{path}: row {row_no}: {exc}") from None
     if not quarters:

@@ -1,0 +1,154 @@
+"""The batched S and qLL-S path against its own batch of one.
+
+`s_statistics` and `qll_s_statistics` minimise many points together, in
+chunks of `BATCH_CHUNK`; `s_statistic` and `qll_s_statistic` are a batch of
+one of the same code. A point's numbers must not depend on the rest of its
+batch, and a point that fails must not disturb the others.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from eulergmm.cli import main
+from eulergmm.design import BASELINE_INSTRUMENTS, build_design
+from eulergmm.grids import (
+    AxisSpec,
+    GridSpec,
+    default_semi_grid,
+    default_structural_grid,
+    export_grid,
+    invert_test,
+    make_grid,
+)
+from eulergmm.inference import (
+    BATCH_CHUNK,
+    qll_s_statistic,
+    qll_s_statistics,
+    s_statistic,
+    s_statistics,
+)
+from eulergmm.models import LITERATURE_POINTS, SemiStructuralParams, StructuralParams
+from eulergmm.pipeline import TransformSpec
+from eulergmm.snapshot import transform_snapshot
+
+STATISTICS = {"S": (s_statistics, s_statistic), "qll": (qll_s_statistics, qll_s_statistic)}
+
+
+@pytest.fixture(scope="module")
+def systems():
+    data = transform_snapshot(TransformSpec())
+    return {m: build_design(data, m, BASELINE_INSTRUMENTS) for m in ("IAC", "SEMI")}
+
+
+def box(spec, points):
+    return GridSpec(axes=tuple(
+        AxisSpec(a.name, a.lower, a.upper, points, a.include_lower, a.include_upper)
+        for a in spec.axes
+    ))
+
+
+def iac_points():
+    """The 8 x 8 x 8 IAC box plus the published calibrations at each of its rho values."""
+    lattice = make_grid(box(default_structural_grid(), 8))
+    rhos = np.unique(lattice[:, 0])
+    extra = [(rho, kappa, zeta) for kappa, zeta in LITERATURE_POINTS.values() for rho in rhos]
+    return [StructuralParams(*p) for p in np.vstack([lattice, extra])]
+
+
+def semi_points(rho):
+    return [SemiStructuralParams(rho, *p) for p in make_grid(box(default_semi_grid(), 20))]
+
+
+def assert_same(batch, single):
+    assert len(batch) == len(single)
+    for a, b in zip(batch, single):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+            continue
+        assert a.statistic == pytest.approx(b.statistic, rel=1e-12, abs=0.0)
+        assert a.d_hat == b.d_hat
+        assert (a.ridge_flagged, a.accept, a.df, a.critical_value, a.variant) == (
+            b.ridge_flagged, b.accept, b.df, b.critical_value, b.variant)
+
+
+def per_point(fn, thetas, sys_):
+    out = []
+    for theta in thetas:
+        try:
+            out.append(fn(theta, sys_))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    @pytest.mark.parametrize("case", ["IAC", "SEMI 0", "SEMI 0.9"])
+    def test_batch_matches_batch_of_one(self, systems, statistic, case):
+        if case == "IAC":
+            sys_, thetas = systems["IAC"], iac_points()
+        else:
+            sys_, thetas = systems["SEMI"], semi_points(float(case.split()[1]))
+        batch, single = STATISTICS[statistic]
+        assert_same(batch(thetas, sys_), per_point(single, thetas, sys_))
+
+    @pytest.mark.parametrize("n", [BATCH_CHUNK + 1, 2 * BATCH_CHUNK + 1])
+    def test_across_chunk_boundaries(self, systems, n):
+        # 65 and 129 points: a full chunk plus one, two plus one
+        thetas = semi_points(0.0)[:n]
+        for batch, single in STATISTICS.values():
+            assert_same(batch(thetas, systems["SEMI"]), per_point(single, thetas, systems["SEMI"]))
+
+    def test_failed_point_leaves_the_others(self, systems):
+        thetas = semi_points(0.9)[:70]
+        bad = thetas[:5] + ["not a parameter point"] + thetas[5:]
+        for batch, _ in STATISTICS.values():
+            clean, mixed = batch(thetas, systems["SEMI"]), batch(bad, systems["SEMI"])
+            assert isinstance(mixed[5], AttributeError)
+            assert_same(mixed[:5] + mixed[6:], clean)
+
+
+def write_config(tmp_path, statistic, extra_points, name="run.ini"):
+    path = tmp_path / name
+    path.write_text(
+        "[data]\nsnapshot = true\n"
+        f"[inference]\nstatistic = {statistic}\n"
+        f"[grid]\npoints = 3, 4, 3\nextra_points = {extra_points}\n"
+    )
+    return str(path)
+
+
+class TestCliGrid:
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    def test_grid_equals_per_point_inversion(self, tmp_path, systems, statistic):
+        cfg = write_config(tmp_path, statistic, "0.3,5.0,1.0; 0.6,2.48,0.01")
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "batch")]) == 0
+        spec = GridSpec(
+            axes=tuple(replace(a, points=n)
+                       for a, n in zip(default_structural_grid().axes, (3, 4, 3))),
+            extra_points=((0.3, 5.0, 1.0), (0.6, 2.48, 0.01)),
+        )
+        single = STATISTICS[statistic][1]
+        grid = invert_test(lambda p: single(StructuralParams(*p), systems["IAC"]), spec, 0.90,
+                           variant=statistic)
+        export_grid(grid, tmp_path / "per_point")
+        batch_rows = (tmp_path / "batch" / "grid.csv").read_text().splitlines()
+        point_rows = (tmp_path / "per_point.csv").read_text().splitlines()
+        assert len(batch_rows) == 3 * 4 * 3 + 3
+        assert batch_rows == point_rows
+
+    def test_invalid_point_is_an_error_row(self, tmp_path):
+        good = "0.3,5.0,1.0"
+        assert main(["grid", "--config", write_config(tmp_path, "S", good, "a.ini"),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["grid", "--config", write_config(tmp_path, "S", f"{good}; 0.5,-1,1", "b.ini"),
+                     "--out", str(tmp_path / "b")]) == 0
+        rows_a = (tmp_path / "a" / "grid.csv").read_text().splitlines()
+        rows_b = (tmp_path / "b" / "grid.csv").read_text().splitlines()
+        assert rows_b[:-1] == rows_a
+        assert rows_b[-1] == "0.5,-1,1,nan,0,nan,0,1"
+        summary = json.loads((tmp_path / "b" / "grid.json").read_text())["summary"]
+        assert summary["error_points"] == 1

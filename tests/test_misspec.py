@@ -1,11 +1,16 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulergmm.misspec import (
     MisspecConfig,
+    ar1_filter,
     bias_demo,
     closed_form_cov,
+    lab_report,
     monte_carlo_cov,
     pseudo_true_theta,
     simulate_dgp,
@@ -158,3 +163,69 @@ class TestMonteCarlo:
         cfg = MisspecConfig(gamma=0.0, zeta_true=1.5, T=20_000, reps=3, seed=8)
         with pytest.raises(ValueError, match="gamma"):
             bias_demo(cfg)
+
+
+class TestAR1Filter:
+    @pytest.mark.parametrize("a", [0.4, 0.5, -0.5, 0.98, -0.98])
+    def test_matches_lfilter(self, a):
+        from scipy import signal
+
+        rng = np.random.default_rng(1)
+        for n in (1, 63, 64, 65, 4097, 101_040):
+            x = rng.normal(size=n)
+            ref = signal.lfilter([1.0], [1.0, -a], x)
+            assert np.abs(ar1_filter(a, x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_zero_coefficient_is_identity(self):
+        x = np.random.default_rng(2).normal(size=300)
+        assert np.array_equal(ar1_filter(0.0, x), x)
+
+
+class TestLabReport:
+    # values of the scipy.signal.lfilter implementation that each replication
+    # simulated twice, once for the covariance and once for the slopes
+    REFERENCE = [
+        (dict(gamma=0.4, T=20_000, reps=4, seed=3),
+         -0.06594151893302422, 6.424221876569261e-05,
+         0.7589431526788006, 0.006970982499347569, 1.012811936035951, 0.007518728317085975),
+        (dict(gamma=-0.3, sigma_omega=1.7, zeta_true=2.0, T=5_000, reps=3, seed=9),
+         -0.034545678894830976, 0.001425766770787416,
+         1.7533378221063984, 0.01157080793648353, 1.969812959376285, 0.01761943204697298),
+    ]
+
+    @pytest.mark.parametrize("case", REFERENCE)
+    def test_matches_reference(self, case):
+        cfg, cov, cov_se, mis, mis_se, cor, cor_se = case
+        r = lab_report(MisspecConfig(**cfg))
+        mc, demo = r["monte_carlo_cov"], r["bias_demo"]
+        got = (mc["estimate"], mc["std_error"], demo["zeta_hat_misspecified"],
+               demo["zeta_hat_misspecified_se"], demo["zeta_hat_correct"],
+               demo["zeta_hat_correct_se"])
+        assert got == pytest.approx((cov, cov_se, mis, mis_se, cor, cor_se), rel=1e-12)
+
+    def test_z_scores(self):
+        r = lab_report(MisspecConfig(gamma=0.4, T=20_000, reps=4, seed=3))
+        mc, demo = r["monte_carlo_cov"], r["bias_demo"]
+        z_cov = (mc["estimate"] - r["pseudo_true"]["cov_zstar_err"]) / mc["std_error"]
+        z_plim = (demo["zeta_hat_misspecified"] - demo["theoretical_plim"]) / demo[
+            "zeta_hat_misspecified_se"]
+        assert mc["z_score"] == pytest.approx(z_cov, rel=1e-12)
+        assert demo["z_score"] == pytest.approx(z_plim, rel=1e-12)
+
+    def test_parts_agree_with_report(self):
+        cfg = MisspecConfig(gamma=0.25, T=3_000, reps=3, seed=4)
+        r = lab_report(cfg)
+        assert monte_carlo_cov(cfg) == (r["monte_carlo_cov"]["estimate"],
+                                        r["monte_carlo_cov"]["std_error"])
+        demo = bias_demo(cfg)
+        assert all(r["bias_demo"][k] == v for k, v in demo.items())
+
+    def test_leaves_scipy_signal_and_stats_unloaded(self):
+        code = (
+            "import sys; from eulergmm.misspec import MisspecConfig, lab_report; "
+            "lab_report(MisspecConfig(gamma=0.4, T=2000, reps=2)); "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "[]"

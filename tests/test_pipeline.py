@@ -53,6 +53,12 @@ class TestLoadSeriesCsv:
         with pytest.raises(PipelineError, match="row 5"):
             load_series_csv(p)
 
+    def test_dates_going_backwards(self, tmp_path):
+        # a step back is not a gap: the message must say so, naming the row
+        p = _write(tmp_path, "a.csv", ["1967Q2,1", "1967Q3,2", "1967Q1,3"])
+        with pytest.raises(PipelineError, match="row 3: dates not increasing"):
+            load_series_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PipelineError, match="no such file"):
             load_series_csv(tmp_path / "nope.csv")
@@ -288,3 +294,9 @@ class TestPanelRoundTrip:
         assert back.start == d.start
         for name in d.columns:
             assert np.array_equal(back.columns[name], d.columns[name])
+
+    def test_ragged_row_names_the_row(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,delta_i,r_p\n1980Q1,1.0,2.0\n1980Q2,1.5\n1980Q3,1.0,2.0\n")
+        with pytest.raises(PipelineError, match="row 2: 2 fields, expected 3"):
+            read_panel_csv(path)

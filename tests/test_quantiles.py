@@ -50,10 +50,14 @@ class TestChi2Quantile:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone is about half a second of import time
-    code = "import sys, eulergmm.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats alone is about half a second of import time; scipy.optimize
+    # and scipy.linalg about a quarter second between them
+    code = (
+        "import sys, eulergmm.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_matches_scipy_stats_ppf():
