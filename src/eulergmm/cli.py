@@ -41,7 +41,9 @@ from .pipeline import (
     Dataset,
     PipelineError,
     TransformSpec,
+    load_series_dir,
     read_panel_csv,
+    transform_raw,
     write_panel_csv,
 )
 
@@ -70,32 +72,7 @@ def _dataset(cfg: RunConfig) -> Dataset:
     if cfg.snapshot:
         return snapshot.transform_snapshot(_transform_spec(cfg), external=cfg.external)
     if cfg.series_dir:
-        from .pipeline import (
-            assemble_dataset,
-            build_investment_measure,
-            compute_inflation,
-            compute_log_utilization,
-            compute_real_rate,
-            load_series_csv,
-            transform_external,
-        )
-
-        raw = {}
-        for fn in sorted(os.listdir(cfg.series_dir)):
-            if fn.endswith(".csv"):
-                name = os.path.splitext(fn)[0]
-                raw[name] = load_series_csv(os.path.join(cfg.series_dir, fn), name=name)
-        spec = _transform_spec(cfg)
-        inflation = compute_inflation(raw["GDPDEF"])
-        cols = {
-            "delta_i": build_investment_measure(spec, raw),
-            "r_p": compute_real_rate(raw["FEDFUNDS"], inflation, spec.rate_scale),
-            "u": compute_log_utilization(raw["TCU"]),
-        }
-        source = {"oil": "OIL", "vxo": "VXO", "mp_shock": "MP_SHOCK", "mil_news": "MIL_NEWS"}
-        for kind in cfg.external:
-            cols[kind] = transform_external(kind, raw[source[kind]])
-        return assemble_dataset(spec, cols)
+        return transform_raw(load_series_dir(cfg.series_dir), _transform_spec(cfg), cfg.external)
     raise PipelineError(
         "no data source configured: set [data] panel, series_dir, or snapshot=true"
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .models import ModelKind
-from .pipeline import InvestmentMeasure
+from .pipeline import EXTERNAL_COLUMNS, InvestmentMeasure
 from .quarters import QuarterIndex
 
 
@@ -27,7 +27,7 @@ KNOWN_KEYS = {
     "instruments": {"lags", "external"},
     "inference": {
         "statistic", "level", "bandwidth", "split_fraction", "split_gap",
-        "theta0", "qll_fallback",
+        "theta0",
     },
     "grid": {"points", "extra_points"},
     "output": {"dir"},
@@ -61,7 +61,6 @@ class RunConfig:
     split_fraction: float = 0.45
     split_gap: int = 3
     theta0: Optional[tuple[float, ...]] = None
-    qll_fallback: str = "sup_split"
     # grid
     grid_points: Optional[tuple[int, ...]] = None
     extra_points: tuple[tuple[float, ...], ...] = ()
@@ -97,7 +96,6 @@ class RunConfig:
                 "split_fraction": self.split_fraction,
                 "split_gap": self.split_gap,
                 "theta0": list(self.theta0) if self.theta0 else None,
-                "qll_fallback": self.qll_fallback,
             },
             "grid": {
                 "points": list(self.grid_points) if self.grid_points else None,
@@ -111,19 +109,30 @@ def _err(path: str, section: str, key: str, msg: str) -> ConfigError:
     return ConfigError(f"{path}: [{section}] {key}: {msg}")
 
 
+def _get(path: str, section: configparser.SectionProxy, key: str, convert, expected: str):
+    """`convert` of one value; a ValueError from it names the file, section and key."""
+    try:
+        return convert(section[key])
+    except ValueError:
+        raise _err(path, section.name, key, f"{expected}, got {section[key]!r}") from None
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(text)
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _numbers(kind):
+    return lambda text: tuple(kind(x) for x in text.split(","))
+
+
 def _parse_lags(text: str) -> tuple[tuple[str, int], ...]:
     out = []
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, lag = part.partition(":")
-        try:
+        if part.strip():
+            name, _, lag = part.partition(":")
             out.append((name.strip(), int(lag)))
-        except ValueError:
-            raise ConfigError(
-                f"bad instrument lag {part!r}, expected 'column:lag'"
-            ) from None
     return tuple(out)
 
 
@@ -142,10 +151,10 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
     path = os.fspath(path)
     if not os.path.exists(path):
         raise ConfigError(f"no such config file: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     for section in parser.sections():
@@ -160,47 +169,34 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]{extra}")
 
     cfg = RunConfig()
-    get = parser.get
 
     if parser.has_section("data"):
         d = parser["data"]
         cfg.panel = d.get("panel", cfg.panel)
         cfg.series_dir = d.get("series_dir", cfg.series_dir)
         if "snapshot" in d:
-            cfg.snapshot = d.getboolean("snapshot")
+            cfg.snapshot = _get(path, d, "snapshot", _boolean, "must be true or false")
         if "investment_measure" in d:
-            try:
-                cfg.investment_measure = InvestmentMeasure(d["investment_measure"])
-            except ValueError:
-                raise _err(path, "data", "investment_measure",
-                           f"must be SW or JPT, got {d['investment_measure']!r}")
+            cfg.investment_measure = _get(
+                path, d, "investment_measure", InvestmentMeasure, "must be SW or JPT"
+            )
         if "rate_scale" in d:
-            cfg.rate_scale = d.getfloat("rate_scale")
-            if cfg.rate_scale <= 0:
+            cfg.rate_scale = _get(path, d, "rate_scale", float, "not a number")
+            if not cfg.rate_scale > 0:
                 raise _err(path, "data", "rate_scale", "must be > 0")
-        for key, attr in (("sample_start", "sample_start"), ("sample_end", "sample_end")):
+        for key in ("sample_start", "sample_end"):
             if key in d:
-                try:
-                    setattr(cfg, attr, QuarterIndex.parse(d[key]))
-                except ValueError as exc:
-                    raise _err(path, "data", key, str(exc))
+                setattr(cfg, key, _get(path, d, key, QuarterIndex.parse, "must be YYYYQn"))
         if cfg.panel and not os.path.exists(cfg.panel):
             raise _err(path, "data", "panel", f"file not found: {cfg.panel}")
 
     if parser.has_section("model"):
         m = parser["model"]
         if "kind" in m:
-            try:
-                cfg.model = ModelKind(m["kind"])
-            except ValueError:
-                raise _err(path, "model", "kind",
-                           f"must be IAC, CAC, or SEMI, got {m['kind']!r}")
+            cfg.model = _get(path, m, "kind", ModelKind, "must be IAC, CAC, or SEMI")
         for key in ("beta", "delta", "rho"):
             if key in m:
-                try:
-                    setattr(cfg, key, m.getfloat(key))
-                except ValueError:
-                    raise _err(path, "model", key, f"not a number: {m[key]!r}")
+                setattr(cfg, key, _get(path, m, key, float, "not a number"))
         if not 0 < cfg.beta < 1:
             raise _err(path, "model", "beta", f"must be in (0,1), got {cfg.beta}")
         if not 0 < cfg.delta < 1:
@@ -211,11 +207,17 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
     if parser.has_section("instruments"):
         i = parser["instruments"]
         if "lags" in i:
-            cfg.instrument_lags = _parse_lags(i["lags"])
+            cfg.instrument_lags = _get(
+                path, i, "lags", _parse_lags, "must be comma-separated 'column:lag' pairs"
+            )
         if "external" in i:
             cfg.external = tuple(
                 s.strip() for s in i["external"].split(",") if s.strip()
             )
+            unknown = [s for s in cfg.external if s not in EXTERNAL_COLUMNS]
+            if unknown:
+                raise _err(path, "instruments", "external",
+                           f"unknown {unknown}; known: {', '.join(EXTERNAL_COLUMNS)}")
 
     if parser.has_section("inference"):
         f = parser["inference"]
@@ -226,58 +228,43 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
                            f"must be S, qll, or split, got {stat!r}")
             cfg.statistic = stat
         if "level" in f:
-            cfg.level = f.getfloat("level")
+            cfg.level = _get(path, f, "level", float, "not a number")
             if not 0 < cfg.level < 1:
                 raise _err(path, "inference", "level",
                            f"must be in (0,1), got {cfg.level}")
         if "bandwidth" in f:
-            raw = f["bandwidth"].strip()
-            if raw == "auto":
-                cfg.bandwidth = "auto"
-            else:
-                try:
-                    cfg.bandwidth = int(raw)
-                except ValueError:
-                    raise _err(path, "inference", "bandwidth",
-                               f"must be 'auto' or an integer, got {raw!r}")
-                if cfg.bandwidth < 0:
-                    raise _err(path, "inference", "bandwidth", "must be >= 0")
+            cfg.bandwidth = _get(
+                path, f, "bandwidth", lambda v: v if v == "auto" else int(v),
+                "must be 'auto' or an integer",
+            )
+            if cfg.bandwidth != "auto" and cfg.bandwidth < 0:
+                raise _err(path, "inference", "bandwidth", "must be >= 0")
         if "split_fraction" in f:
-            cfg.split_fraction = f.getfloat("split_fraction")
+            cfg.split_fraction = _get(path, f, "split_fraction", float, "not a number")
             if not 0 < cfg.split_fraction < 1:
                 raise _err(path, "inference", "split_fraction", "must be in (0,1)")
         if "split_gap" in f:
-            cfg.split_gap = f.getint("split_gap")
+            cfg.split_gap = _get(path, f, "split_gap", int, "not an integer")
             if cfg.split_gap < 0:
                 raise _err(path, "inference", "split_gap", "must be >= 0")
         if "theta0" in f:
-            try:
-                cfg.theta0 = tuple(float(x) for x in f["theta0"].split(","))
-            except ValueError:
-                raise _err(path, "inference", "theta0",
-                           f"must be comma-separated numbers, got {f['theta0']!r}")
-        if "qll_fallback" in f:
-            cfg.qll_fallback = f["qll_fallback"].strip()
-            if cfg.qll_fallback != "sup_split":
-                raise _err(path, "inference", "qll_fallback",
-                           f"only 'sup_split' is available, got {cfg.qll_fallback!r}")
+            cfg.theta0 = _get(
+                path, f, "theta0", _numbers(float), "must be comma-separated numbers"
+            )
 
     if parser.has_section("grid"):
         g = parser["grid"]
         if "points" in g:
-            try:
-                cfg.grid_points = tuple(int(x) for x in g["points"].split(","))
-            except ValueError:
-                raise _err(path, "grid", "points",
-                           f"must be comma-separated integers, got {g['points']!r}")
+            cfg.grid_points = _get(
+                path, g, "points", _numbers(int), "must be comma-separated integers"
+            )
             if any(p < 2 for p in cfg.grid_points):
                 raise _err(path, "grid", "points", "each axis needs >= 2 points")
         if "extra_points" in g:
-            try:
-                cfg.extra_points = _parse_extra_points(g["extra_points"])
-            except ValueError:
-                raise _err(path, "grid", "extra_points",
-                           f"bad value {g['extra_points']!r}")
+            cfg.extra_points = _get(
+                path, g, "extra_points", _parse_extra_points,
+                "must be ';'-separated points of comma-separated numbers",
+            )
 
     if parser.has_section("output"):
         cfg.out_dir = parser["output"].get("dir", cfg.out_dir)

@@ -11,12 +11,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class HACConfig:
-    kernel: str = "bartlett"
     bandwidth: Union[int, str] = "auto"
 
     def __post_init__(self):
-        if self.kernel.lower() != "bartlett":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f"bandwidth must be 'auto' or an integer, got {self.bandwidth!r}")

@@ -588,12 +588,8 @@ def qll_s_statistics(
     sys: MomentSystem,
     cfg: HACConfig = HACConfig(),
     level: float = 0.90,
-    b_components: Optional[Sequence[float]] = None,
 ) -> list:
-    """`qll_s_statistic` at every point: its TestResult, or the exception it raised.
-
-    `b_components`, one per point, substitutes externally computed components.
-    """
+    """`qll_s_statistic` at every point: its TestResult, or the exception it raised."""
     _require_overidentified(sys)
     if sys.k_x != 1:
         raise ValueError("the qLL fallback supports only a scalar included instrument")
@@ -604,19 +600,14 @@ def qll_s_statistics(
             f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
         )
     B, s, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
-    if b_components is None:
-        ok = np.flatnonzero([e is None for e in errors])
-        comps = np.full(len(errors), np.nan)
-        comps[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
-    else:
-        comps = np.asarray(b_components, dtype=float)
+    ok = np.flatnonzero([e is None for e in errors])
+    comps = np.full(len(errors), np.nan)
+    comps[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
     crit = QLL_CRITICAL_VALUES[key]
     bandwidth = cfg.resolve_bandwidth(sys.T)
 
     def make(i: int) -> TestResult:
         comp = float(comps[i])
-        if comp < 0:
-            raise ValueError(f"subsample component must be >= 0, got {comp}")
         if not np.isfinite(comp):
             raise SingularCovarianceError(
                 f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
@@ -642,16 +633,13 @@ def qll_s_statistic(
     sys: MomentSystem,
     cfg: HACConfig = HACConfig(),
     level: float = 0.90,
-    b_component: Optional[float] = None,
 ) -> TestResult:
     """qLL-S test: (10/11) * S + a nonnegative subsample-violation component.
 
-    The component defaults to the sup-split fallback (`qll_b_component`);
-    passing `b_component` substitutes an externally computed value. Critical
+    The component is the sup-split fallback (`qll_b_component`). Critical
     values come from the embedded table keyed by (moment count, level).
     """
-    comps = None if b_component is None else [b_component]
-    return _one(qll_s_statistics([theta0], sys, cfg, level, comps))
+    return _one(qll_s_statistics([theta0], sys, cfg, level))
 
 
 # --- split-sample S ----------------------------------------------------------

@@ -9,6 +9,7 @@ optional external-instrument columns, aligned into a single `Dataset`.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,13 +24,23 @@ FRED_URL = "https://api.stlouisfed.org/fred/series/observations"
 #: Columns every estimation dataset must provide.
 CORE_COLUMNS = ("delta_i", "r_p", "u")
 
+#: Raw series behind each recognized external-instrument column.
+EXTERNAL_SOURCES = {"mp_shock": "MP_SHOCK", "mil_news": "MIL_NEWS", "oil": "OIL", "vxo": "VXO"}
+
 #: Recognized external-instrument columns (enter contemporaneously).
-EXTERNAL_COLUMNS = ("mp_shock", "mil_news", "oil", "vxo")
+EXTERNAL_COLUMNS = tuple(EXTERNAL_SOURCES)
 
 
 class InvestmentMeasure(str, Enum):
     SW = "SW"  # real fixed private investment
     JPT = "JPT"  # real gross private domestic investment + durables
+
+
+#: Raw series behind each investment measure.
+INVESTMENT_SOURCES = {
+    InvestmentMeasure.SW: ("FPI", "P_FPI", "POP"),
+    InvestmentMeasure.JPT: ("GPDI", "P_GPDI", "PCDG", "P_PCDG", "POP"),
+}
 
 
 class PipelineError(ValueError):
@@ -86,47 +97,69 @@ def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
     (1 = first row after the header).
     """
     path = os.fspath(path)
-    if not os.path.exists(path):
-        raise PipelineError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    if not rows:
+        raise PipelineError(f"{path}: empty file")
+    header = rows[0]
+    if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
+        raise PipelineError(f"{path}: expected header 'date,value', got {header}")
+    quarters: list[QuarterIndex] = []
+    values: list[float] = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise PipelineError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
-            raise PipelineError(f"{path}: expected header 'date,value', got {header}")
-        quarters: list[QuarterIndex] = []
-        values: list[float] = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                q = QuarterIndex.parse(row[0])
-            except ValueError as exc:
-                raise PipelineError(f"{path}: row {row_no}: {exc}") from None
-            if quarters:
-                gap = q - quarters[-1]
-                if gap == 0:
-                    raise PipelineError(f"{path}: row {row_no}: duplicate quarter {q}")
-                if gap < 0:
-                    raise PipelineError(f"{path}: row {row_no}: dates not increasing")
-                if gap != 1:
-                    missing = quarters[-1] + 1
-                    raise PipelineError(
-                        f"{path}: row {row_no}: gap in quarters, missing {missing}"
-                    )
-            try:
-                v = float(row[1])
-            except (IndexError, ValueError):
+            q = QuarterIndex.parse(row[0])
+        except ValueError as exc:
+            raise PipelineError(f"{path}: row {row_no}: {exc}") from None
+        if quarters:
+            gap = q - quarters[-1]
+            if gap == 0:
+                raise PipelineError(f"{path}: row {row_no}: duplicate quarter {q}")
+            if gap < 0:
+                raise PipelineError(f"{path}: row {row_no}: dates not increasing")
+            if gap != 1:
+                missing = quarters[-1] + 1
                 raise PipelineError(
-                    f"{path}: row {row_no}: non-numeric value {row[1:2]!r}"
-                ) from None
-            quarters.append(q)
-            values.append(v)
+                    f"{path}: row {row_no}: gap in quarters, missing {missing}"
+                )
+        quarters.append(q)
+        values.append(_finite(row[1] if len(row) > 1 else "", path, row_no))
     if not quarters:
         raise PipelineError(f"{path}: no observations")
     return Series(name or os.path.splitext(os.path.basename(path))[0], quarters[0], np.array(values))
+
+
+def load_series_dir(directory: str | os.PathLike) -> dict[str, Series]:
+    """Every `NAME.csv` in `directory`, read by `load_series_csv` and keyed by NAME."""
+    out = {}
+    for fn in sorted(os.listdir(directory)):
+        name, ext = os.path.splitext(fn)
+        if ext == ".csv":
+            out[name] = load_series_csv(os.path.join(directory, fn), name=name)
+    return out
+
+
+def _csv_rows(path: str) -> list[list[str]]:
+    """Every row of a CSV file; a missing or malformed file is a PipelineError."""
+    if not os.path.exists(path):
+        raise PipelineError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise PipelineError(f"{path}: unreadable CSV: {exc}") from None
+
+
+def _finite(cell: str, path: str, row_no: int) -> float:
+    """One cell as a finite float; anything else is an error naming the row."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise PipelineError(f"{path}: row {row_no}: non-numeric or non-finite value {cell!r}")
+    return value
 
 
 def fetch_fred_series(
@@ -141,7 +174,12 @@ def fetch_fred_series(
     dropped). The key defaults to the ``FRED_API_KEY`` environment variable;
     a missing key is an error instructing the caller to use the CSV snapshot.
     """
-    import requests
+    try:
+        import requests
+    except ImportError:
+        raise PipelineError(
+            "fetching from FRED needs the requests package: pip install eulergmm[fred]"
+        ) from None
 
     api_key = api_key or os.environ.get("FRED_API_KEY", "")
     if not api_key:
@@ -220,12 +258,11 @@ def build_investment_measure(spec: TransformSpec, raw: Mapping[str, Series]) -> 
     The aligned real per-capita level is then log-differenced, so the output
     is one quarter shorter than the aligned inputs.
     """
+    s = _align(raw, list(INVESTMENT_SOURCES[spec.investment_measure]))
     if spec.investment_measure is InvestmentMeasure.SW:
-        s = _align(raw, ["FPI", "P_FPI", "POP"])
         level = s["FPI"].values / s["POP"].values / s["P_FPI"].values
         start = s["FPI"].start
     else:
-        s = _align(raw, ["GPDI", "P_GPDI", "PCDG", "P_PCDG", "POP"])
         level = (
             s["GPDI"].values / s["POP"].values / s["P_GPDI"].values
             + s["PCDG"].values / s["POP"].values / s["P_PCDG"].values
@@ -303,6 +340,39 @@ def assemble_dataset(spec: TransformSpec, transformed: Mapping[str, Series]) -> 
     return Dataset(start=start, columns=cols)
 
 
+def transform_raw(
+    raw: Mapping[str, Series], spec: TransformSpec, external: tuple[str, ...] = ()
+) -> Dataset:
+    """The estimation panel from raw series keyed by name.
+
+    The only place that knows which raw series feed which column: the
+    investment measure's inputs, GDPDEF (inflation), FEDFUNDS (the real
+    rate), TCU (utilization), and `EXTERNAL_SOURCES` for each external kind.
+    Every missing raw series is named in one error.
+    """
+    unknown = [k for k in external if k not in EXTERNAL_SOURCES]
+    if unknown:
+        raise PipelineError(
+            f"unknown external instrument {unknown}; known: {list(EXTERNAL_COLUMNS)}"
+        )
+    needed = (
+        *INVESTMENT_SOURCES[spec.investment_measure], "GDPDEF", "FEDFUNDS", "TCU",
+        *(EXTERNAL_SOURCES[k] for k in external),
+    )
+    missing = [n for n in needed if n not in raw]
+    if missing:
+        raise PipelineError(f"missing raw series: {', '.join(missing)}")
+    inflation = compute_inflation(raw["GDPDEF"])
+    cols = {
+        "delta_i": build_investment_measure(spec, raw),
+        "r_p": compute_real_rate(raw["FEDFUNDS"], inflation, spec.rate_scale),
+        "u": compute_log_utilization(raw["TCU"]),
+    }
+    for kind in external:
+        cols[kind] = transform_external(kind, raw[EXTERNAL_SOURCES[kind]])
+    return assemble_dataset(spec, cols)
+
+
 def write_panel_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write `date,<col>,...` with full-precision floats (lossless round trip)."""
     names = list(dataset.columns)
@@ -317,29 +387,28 @@ def write_panel_csv(dataset: Dataset, path: str | os.PathLike) -> None:
 def read_panel_csv(path: str | os.PathLike) -> Dataset:
     """Inverse of `write_panel_csv`."""
     path = os.fspath(path)
-    if not os.path.exists(path):
-        raise PipelineError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0].strip().lower() != "date":
-            raise PipelineError(f"{path}: first panel column must be 'date'")
-        names = header[1:]
-        if len(set(names)) != len(names):
-            raise PipelineError(f"{path}: duplicate column names")
-        quarters, rows = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise PipelineError(
-                    f"{path}: row {row_no}: {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                quarters.append(QuarterIndex.parse(row[0]))
-                rows.append([float(x) for x in row[1:]])
-            except ValueError as exc:
-                raise PipelineError(f"{path}: row {row_no}: {exc}") from None
+    lines = _csv_rows(path)
+    header = lines[0] if lines else []
+    if not header or header[0].strip().lower() != "date":
+        raise PipelineError(f"{path}: first panel column must be 'date'")
+    names = header[1:]
+    if not names:
+        raise PipelineError(f"{path}: no data columns")
+    if len(set(names)) != len(names):
+        raise PipelineError(f"{path}: duplicate column names")
+    quarters, rows = [], []
+    for row_no, row in enumerate(lines[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise PipelineError(
+                f"{path}: row {row_no}: {len(row)} fields, expected {len(header)}"
+            )
+        try:
+            quarters.append(QuarterIndex.parse(row[0]))
+        except ValueError as exc:
+            raise PipelineError(f"{path}: row {row_no}: {exc}") from None
+        rows.append([_finite(cell, path, row_no) for cell in row[1:]])
     if not quarters:
         raise PipelineError(f"{path}: empty panel")
     for prev, cur in zip(quarters, quarters[1:]):

@@ -5,37 +5,15 @@ Ships with the package so estimation and tests never touch the network.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
-from ..pipeline import (
-    Dataset,
-    InvestmentMeasure,
-    TransformSpec,
-    assemble_dataset,
-    build_investment_measure,
-    compute_inflation,
-    compute_log_utilization,
-    compute_real_rate,
-    load_series_csv,
-    transform_external,
-)
+from ..pipeline import Dataset, TransformSpec, load_series_dir, transform_raw
 from ..quarters import Series
-
-#: Raw series names expected in the snapshot directory.
-RAW_SERIES = (
-    "FPI", "GPDI", "PCDG", "P_FPI", "P_GPDI", "P_PCDG", "GDPDEF",
-    "FEDFUNDS", "TCU", "POP", "OIL", "VXO", "MP_SHOCK", "MIL_NEWS",
-)
 
 
 def load_snapshot() -> dict[str, Series]:
     """Load every packaged raw series, keyed by name."""
-    out: dict[str, Series] = {}
-    root = resources.files(__package__)
-    for name in RAW_SERIES:
-        with resources.as_file(root / f"{name}.csv") as path:
-            out[name] = load_series_csv(path, name=name)
-    return out
+    return load_series_dir(os.path.dirname(__file__))
 
 
 def transform_snapshot(
@@ -43,14 +21,4 @@ def transform_snapshot(
     external: tuple[str, ...] = (),
 ) -> Dataset:
     """Apply the full transformation pipeline to the packaged snapshot."""
-    spec = spec or TransformSpec()
-    raw = load_snapshot()
-    delta_i = build_investment_measure(spec, raw)
-    inflation = compute_inflation(raw["GDPDEF"])
-    r_p = compute_real_rate(raw["FEDFUNDS"], inflation, spec.rate_scale)
-    u = compute_log_utilization(raw["TCU"])
-    cols = {"delta_i": delta_i, "r_p": r_p, "u": u}
-    source = {"oil": "OIL", "vxo": "VXO", "mp_shock": "MP_SHOCK", "mil_news": "MIL_NEWS"}
-    for kind in external:
-        cols[kind] = transform_external(kind, raw[source[kind]])
-    return assemble_dataset(spec, cols)
+    return transform_raw(load_snapshot(), spec or TransformSpec(), external)

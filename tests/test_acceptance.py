@@ -7,8 +7,6 @@ under the null, the packaged data snapshot, full confidence-set inversions,
 and the cross-cutting numerical invariants.
 """
 
-import os
-
 import numpy as np
 import pytest
 from scipy import special
@@ -17,13 +15,15 @@ from eulergmm.design import BASELINE_INSTRUMENTS, MomentSystem, build_design
 from eulergmm.grids import (
     AxisSpec,
     GridSpec,
+    collect_results,
     default_semi_grid,
     default_structural_grid,
     invert_test,
+    make_grid,
     set_summary,
 )
 from eulergmm.hac import HACConfig, hac_variance
-from eulergmm.inference import s_statistic, split_sample_s_statistic
+from eulergmm.inference import s_statistic, s_statistics, split_sample_s_statistic
 from eulergmm.misspec import (
     MisspecConfig,
     bias_demo,
@@ -51,7 +51,6 @@ from eulergmm.quantiles import chi2_quantile
 from eulergmm.snapshot import transform_snapshot
 
 C = constants_from_calibration(0.99, 0.025)
-THREADS = os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +258,14 @@ class TestSnapshotDiagnostics:
 RHO_VALUES = AxisSpec("rho", 0.0, 1.0, 20, include_upper=False).values()
 
 
+def lattice_set(spec, params, system, level=0.90):
+    # one S batch over the lattice: the same bits as point-by-point invert_test,
+    # which tests/test_batch.py checks
+    points = make_grid(spec)
+    outcomes = s_statistics([params(*p) for p in points], system, level=level)
+    return collect_results(spec, level, points, outcomes)
+
+
 @pytest.fixture(scope="module")
 def structural_set(snapshot_system):
     # default lattice plus every literature (kappa, zeta) at every rho value
@@ -268,11 +275,7 @@ def structural_set(snapshot_system):
         for r in RHO_VALUES
     )
     spec = default_structural_grid(extras)
-
-    def evaluator(point):
-        return s_statistic(StructuralParams(*point), snapshot_system, level=0.90)
-
-    return invert_test(evaluator, spec, 0.90, threads=THREADS), len(extras)
+    return lattice_set(spec, StructuralParams, snapshot_system), len(extras)
 
 
 class TestStructuralConfidenceSet:
@@ -291,12 +294,9 @@ class TestStructuralConfidenceSet:
 
 
 def semi_set(system, rho, level=0.90):
-    spec = default_semi_grid()
-
-    def evaluator(point):
-        return s_statistic(SemiStructuralParams(rho, *point), system, level=level)
-
-    return invert_test(evaluator, spec, level, threads=THREADS)
+    return lattice_set(
+        default_semi_grid(), lambda *p: SemiStructuralParams(rho, *p), system, level
+    )
 
 
 @pytest.fixture(scope="module")

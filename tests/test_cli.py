@@ -1,8 +1,11 @@
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
+from eulergmm import snapshot
 from eulergmm.cli import build_parser, main
 from eulergmm.pipeline import read_panel_csv
 
@@ -11,6 +14,16 @@ def write_config(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def copy_snapshot(dest, skip=()):
+    """The packaged raw CSVs, copied to `dest` (less the names in `skip`)."""
+    src = os.path.dirname(snapshot.__file__)
+    os.makedirs(dest)
+    for fn in os.listdir(src):
+        if fn.endswith(".csv") and fn[:-4] not in skip:
+            shutil.copy(os.path.join(src, fn), dest)
+    return str(dest)
 
 
 SNAPSHOT_IAC = """
@@ -39,6 +52,33 @@ class TestTransform:
         rc = main(["transform", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "no data source" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [
+        "investment_measure = SW\n",
+        "investment_measure = JPT\n[instruments]\nexternal = oil, vxo\n",
+    ])
+    def test_series_dir_matches_snapshot(self, tmp_path, settings):
+        raw = copy_snapshot(tmp_path / "raw")
+        panels = []
+        for i, source in enumerate(("snapshot = true", f"series_dir = {raw}")):
+            out = tmp_path / f"out{i}"
+            cfg = write_config(tmp_path, f"[data]\n{source}\n{settings}")
+            assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+            panels.append((out / "panel.csv").read_bytes())
+        assert panels[0] == panels[1]
+
+    @pytest.mark.parametrize("text,message", [
+        ("[data]\nseries_dir = {raw}\n", "missing raw series: GDPDEF, FEDFUNDS"),
+        ("[data]\nsnapshot = true\n[instruments]\nexternal = foo\n",
+         "unknown ['foo']; known: mp_shock, mil_news, oil, vxo"),
+    ])
+    def test_bad_input_is_a_named_error(self, tmp_path, capsys, text, message):
+        raw = copy_snapshot(tmp_path / "raw", skip=("GDPDEF", "FEDFUNDS"))
+        cfg = write_config(tmp_path, text.format(raw=raw))
+        assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEstimate:

@@ -133,8 +133,8 @@ class TestRejections:
             parse_config(write(tmp_path, "[inference]\ntheta0 = a,b\n"))
 
     def test_unknown_qll_fallback(self, tmp_path):
-        with pytest.raises(ConfigError, match="sup_split"):
-            parse_config(write(tmp_path, "[inference]\nqll_fallback = none\n"))
+        with pytest.raises(ConfigError, match="unknown key 'qll_fallback'"):
+            parse_config(write(tmp_path, "[inference]\nqll_fallback = sup_split\n"))
 
     def test_missing_panel_file(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
@@ -143,6 +143,30 @@ class TestRejections:
     def test_grid_points_too_few(self, tmp_path):
         with pytest.raises(ConfigError, match="points"):
             parse_config(write(tmp_path, "[grid]\npoints = 1, 5, 5\n"))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("inference", "level", "abc"),
+        ("data", "rate_scale", "x"),
+        ("data", "snapshot", "maybe"),
+        ("inference", "split_gap", "1.5"),
+        ("inference", "split_fraction", "half"),
+        ("model", "beta", "b"),
+    ])
+    def test_unparsable_value_names_file_and_key(self, tmp_path, section, key, value):
+        path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value).startswith(f"{path}: [{section}] {key}: ")
+        assert repr(value) in str(exc.value)
+
+    def test_unknown_external_lists_known(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[instruments\] external: unknown \['foo'\]; "
+                           "known: mp_shock, mil_news, oil, vxo"):
+            parse_config(write(tmp_path, "[instruments]\nexternal = oil, foo\n"))
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "[output]\ndir = out%1\n"))
+        assert cfg.out_dir == "out%1"
 
     def test_bad_sample_quarter(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_start"):

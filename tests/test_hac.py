@@ -19,8 +19,8 @@ class TestConfig:
             HACConfig(bandwidth=-1)
         with pytest.raises(ValueError):
             HACConfig(bandwidth="automatic")
-        with pytest.raises(ValueError):
-            HACConfig(kernel="parzen")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            HACConfig(kernel="bartlett")
 
 
 class TestVariance:

@@ -12,6 +12,7 @@ from eulergmm.inference import (
     cue_objective,
     first_stage_diagnostics,
     minimize_cue,
+    qll_b_component,
     qll_s_statistic,
     s_statistic,
     split_sample_s_statistic,
@@ -127,12 +128,13 @@ class TestSStatistic:
 
 
 class TestQLLStatistic:
-    def test_combination_with_forced_zero_component(self):
+    def test_combination_of_s_and_component(self):
         sys_ = toy_system(seed=9)
         cfg = HACConfig(bandwidth=2)
         s = s_statistic(np.array([1.0]), sys_, cfg)
-        q = qll_s_statistic(np.array([1.0]), sys_, cfg, b_component=0.0)
-        assert q.statistic == pytest.approx(10.0 / 11.0 * s.statistic, rel=1e-12)
+        q = qll_s_statistic(np.array([1.0]), sys_, cfg)
+        comp = qll_b_component(np.array([1.0]), sys_, cfg, s.d_hat)
+        assert q.statistic == pytest.approx(10.0 / 11.0 * s.statistic + comp, rel=1e-12)
         assert "sup-split" in q.variant
 
     def test_component_nonnegative(self):

@@ -1,6 +1,7 @@
 import http.server
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -19,6 +20,7 @@ from eulergmm.pipeline import (
     load_series_csv,
     read_panel_csv,
     transform_external,
+    transform_raw,
     write_panel_csv,
 )
 from eulergmm.quarters import QuarterIndex, Series
@@ -51,6 +53,20 @@ class TestLoadSeriesCsv:
         rows = [f"19{67 + i // 4}Q{i % 4 + 1},1.0" for i in range(4)] + ["1968Q1,n/a"]
         p = _write(tmp_path, "a.csv", rows)
         with pytest.raises(PipelineError, match="row 5"):
+            load_series_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reports_row(self, tmp_path, value):
+        p = _write(tmp_path, "a.csv", ["1967Q1,1.0", f"1967Q2,{value}"])
+        with pytest.raises(PipelineError, match="row 2: non-numeric or non-finite"):
+            load_series_csv(p)
+
+    @pytest.mark.parametrize("tail", [b"\xff\xfe\n", b'"' + b"x" * 200_000])
+    def test_unreadable_csv(self, tmp_path, tail):
+        # bytes that are not UTF-8, and an unclosed quote over the csv field limit
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"date,value\n1967Q1," + tail)
+        with pytest.raises(PipelineError, match="unreadable CSV"):
             load_series_csv(p)
 
     def test_dates_going_backwards(self, tmp_path):
@@ -137,6 +153,11 @@ class TestFetchFred:
         with pytest.raises(PipelineError, match="snapshot"):
             fetch_fred_series("GPDI")
 
+    def test_missing_requests_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        with pytest.raises(PipelineError, match=r"pip install eulergmm\[fred\]"):
+            fetch_fred_series("GPDI", api_key="k")
+
 
 class TestInvestmentMeasure:
     def test_sw_direct(self):
@@ -177,6 +198,22 @@ class TestInvestmentMeasure:
     def test_missing_input(self):
         with pytest.raises(PipelineError, match="missing"):
             build_investment_measure(TransformSpec(), {})
+
+
+class TestTransformRaw:
+    def test_names_every_missing_series(self):
+        spec = TransformSpec(investment_measure=InvestmentMeasure.JPT)
+        raw = {"TCU": Series("TCU", QuarterIndex(1967, 1), [80.0, 81.0])}
+        with pytest.raises(PipelineError) as exc:
+            transform_raw(raw, spec, ("oil", "mil_news"))
+        assert str(exc.value) == (
+            "missing raw series: GPDI, P_GPDI, PCDG, P_PCDG, POP, GDPDEF, FEDFUNDS, "
+            "OIL, MIL_NEWS"
+        )
+
+    def test_unknown_external_kind(self):
+        with pytest.raises(PipelineError, match=r"'foo'.*mp_shock"):
+            transform_raw({}, TransformSpec(), ("oil", "foo"))
 
 
 class TestInflation:
@@ -299,4 +336,17 @@ class TestPanelRoundTrip:
         path = tmp_path / "panel.csv"
         path.write_text("date,delta_i,r_p\n1980Q1,1.0,2.0\n1980Q2,1.5\n1980Q3,1.0,2.0\n")
         with pytest.raises(PipelineError, match="row 2: 2 fields, expected 3"):
+            read_panel_csv(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("")
+        with pytest.raises(PipelineError, match="first panel column must be 'date'"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_the_row(self, tmp_path, cell):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"date,delta_i,r_p\n1980Q1,1.0,2.0\n1980Q2,1.5,{cell}\n")
+        with pytest.raises(PipelineError, match="row 2: non-numeric or non-finite"):
             read_panel_csv(path)
