@@ -57,7 +57,7 @@ def _version() -> str:
 
 def _transform_spec(cfg: RunConfig) -> TransformSpec:
     sample = None
-    if cfg.sample_start and cfg.sample_end:
+    if cfg.sample_start is not None or cfg.sample_end is not None:
         sample = (cfg.sample_start, cfg.sample_end)
     return TransformSpec(
         investment_measure=cfg.investment_measure,

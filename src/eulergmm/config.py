@@ -149,11 +149,14 @@ def _parse_extra_points(text: str) -> tuple[tuple[float, ...], ...]:
 def parse_config(path: str | os.PathLike) -> RunConfig:
     """Parse and validate an INI run configuration, filling documented defaults."""
     path = os.fspath(path)
-    if not os.path.exists(path):
-        raise ConfigError(f"no such config file: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, source=path)
+    except FileNotFoundError:
+        raise ConfigError(f"no such config file: {path}") from None
+    except OSError as exc:  # a directory, or a file that cannot be opened
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -225,8 +225,10 @@ def set_summary(g: ConfidenceGrid) -> dict:
             ]
         else:
             summary["projections"][name] = None
+        # distinct values as np.unique gives them, without its lazy numpy.ma import
+        ordered = np.sort(coords)
         profile = []
-        for v in np.unique(coords):
+        for v in ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]:
             mask = coords == v
             profile.append([float(v), float(accepted[mask].mean())])
         summary["marginals"][name] = profile

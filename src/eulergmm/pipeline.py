@@ -51,7 +51,8 @@ class PipelineError(ValueError):
 class TransformSpec:
     investment_measure: InvestmentMeasure = InvestmentMeasure.SW
     rate_scale: float = 400.0  # annual percent -> quarterly decimal
-    sample: Optional[tuple[QuarterIndex, QuarterIndex]] = None
+    #: (first, last) quarter to keep; either end may be None for the data's own
+    sample: Optional[tuple[Optional[QuarterIndex], Optional[QuarterIndex]]] = None
 
     def __post_init__(self):
         self.investment_measure = InvestmentMeasure(self.investment_measure)
@@ -333,9 +334,12 @@ def assemble_dataset(spec: TransformSpec, transformed: Mapping[str, Series]) -> 
         raise PipelineError(str(exc)) from None
     if spec.sample is not None:
         lo, hi = spec.sample
-        start, end = max(start, lo), min(end, hi)
+        start = start if lo is None else max(start, lo)
+        end = end if hi is None else min(end, hi)
         if end - start < 0:
-            raise PipelineError(f"requested sample {lo}..{hi} is outside the data")
+            raise PipelineError(
+                f"requested sample {lo or 'start'}..{hi or 'end'} is outside the data"
+            )
     cols = {n: transformed[n].window(start, end).values for n in names}
     return Dataset(start=start, columns=cols)
 

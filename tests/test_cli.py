@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ class TestTransform:
         eff = json.loads((tmp_path / "o" / "effective_config.json").read_text())
         assert eff["data"]["snapshot"] is True
         assert "quarters" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bound,first,last", [
+        ("sample_start = 1990Q1", "1990Q1", "2019Q3"),
+        ("sample_end = 2000Q4", "1967Q2", "2000Q4"),
+    ])
+    def test_one_sided_sample(self, tmp_path, bound, first, last):
+        cfg = write_config(tmp_path, f"[data]\nsnapshot = true\n{bound}\n")
+        assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        data = read_panel_csv(tmp_path / "o" / "panel.csv")
+        assert (str(data.start), str(data.end)) == (first, last)
 
     def test_no_source_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "")
@@ -235,3 +247,28 @@ class TestParser:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, grid,
+    # transform and misspec still run
+    cfg = write_config(tmp_path, "[data]\nsnapshot = true\n[grid]\npoints = 2, 2, 2\n")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from eulergmm.cli import main\n"
+        f"assert main(['grid', '--config', {cfg!r}, '--out', 'g']) == 0\n"
+        f"assert main(['transform', '--config', {cfg!r}, '--out', 't']) == 0\n"
+        "assert main(['misspec', '--gamma', '0.4', '--T', '500', '--reps', '2', '--out', 'm']) == 0\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(snapshot.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(package_root), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "g" / "grid.csv").exists()
+    assert (tmp_path / "t" / "panel.csv").exists()
+    assert (tmp_path / "m" / "misspec_report.json").exists()

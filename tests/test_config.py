@@ -168,6 +168,11 @@ class TestRejections:
         cfg = parse_config(write(tmp_path, "[output]\ndir = out%1\n"))
         assert cfg.out_dir == "out%1"
 
+    def test_directory_is_rejected(self, tmp_path):
+        # ConfigParser.read skips what it cannot open, which would apply every default
+        with pytest.raises(ConfigError, match=f"{tmp_path}: cannot read config file"):
+            parse_config(tmp_path)
+
     def test_bad_sample_quarter(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_start"):
             parse_config(write(tmp_path, "[data]\nsample_start = 1967M1\n"))

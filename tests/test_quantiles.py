@@ -5,6 +5,7 @@ import sys
 import pytest
 from scipy import special
 
+from eulergmm.inference import QLL_BREAK_FRACTIONS, QLL_CRITICAL_VALUES
 from eulergmm.quantiles import chi2_quantile
 
 
@@ -50,19 +51,30 @@ class TestChi2Quantile:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone is about half a second of import time; scipy.optimize
-    # and scipy.linalg about a quarter second between them
+    # numpy is the only runtime dependency: `import numpy, scipy.special` alone
+    # is about four times `import numpy`
     code = (
         "import sys, eulergmm.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
+def _qll_levels() -> list[float]:
+    """Every level the qLL-S table is given at, and the two Bonferroni levels behind each."""
+    m = len(QLL_BREAK_FRACTIONS)
+    levels = sorted({level for _, level in QLL_CRITICAL_VALUES})
+    return levels + [1 - (1 - v) / 2 for v in levels] + [1 - (1 - v) / (2 * m) for v in levels]
+
+
 def test_matches_scipy_stats_ppf():
     from scipy import stats
 
-    for df in (1, 3, 8, 26):
-        for level in (0.5, 0.9, 0.95, 0.99, 1 - 0.1 / 14):
-            assert chi2_quantile(df, level) == pytest.approx(stats.chi2.ppf(level, df), rel=1e-12)
+    levels = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995,
+              1 - 0.1 / 14, 1 - 0.01 / 14] + _qll_levels()
+    for df in range(1, 61):
+        for level in levels:
+            assert chi2_quantile(df, level) == pytest.approx(
+                stats.chi2.ppf(level, df), rel=1e-12
+            ), (df, level)
