@@ -33,6 +33,7 @@ from .inference import (
     s_statistic,
     s_statistics,
     split_sample_s_statistic,
+    split_sample_s_statistics,
 )
 from .models import (
     CACParams,

@@ -16,20 +16,11 @@ import os
 import sys
 from importlib import metadata
 
-import numpy as np
-
 from . import grids, misspec, snapshot
 from .config import ConfigError, RunConfig, parse_config
 from .design import InstrumentSpec, build_design
 from .hac import HACConfig
-from .inference import (
-    SplitSpec,
-    qll_s_statistic,
-    qll_s_statistics,
-    s_statistic,
-    s_statistics,
-    split_sample_s_statistic,
-)
+from .inference import SplitSpec, qll_s_statistics, s_statistics, split_sample_s_statistics
 from .models import (
     CACParams,
     ModelKind,
@@ -93,16 +84,6 @@ def _params(cfg: RunConfig, point) -> object:
     return CACParams(*point)
 
 
-def _evaluate(cfg: RunConfig, sys_, params):
-    hac = HACConfig(bandwidth=cfg.bandwidth)
-    if cfg.statistic == "S":
-        return s_statistic(params, sys_, hac, cfg.level)
-    if cfg.statistic == "qll":
-        return qll_s_statistic(params, sys_, hac, cfg.level)
-    split = SplitSpec(first_fraction=cfg.split_fraction, gap=cfg.split_gap)
-    return split_sample_s_statistic(params, sys_, split, hac, cfg.level)
-
-
 def _build_system(cfg: RunConfig, data: Dataset):
     constants = constants_from_calibration(cfg.beta, cfg.delta)
     instruments = InstrumentSpec(lags=cfg.instrument_lags, external=cfg.external)
@@ -130,7 +111,9 @@ def cmd_estimate(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("estimate requires [inference] theta0")
     data = _dataset(cfg)
     sys_ = _build_system(cfg, data)
-    result = _evaluate(cfg, sys_, _params(cfg, cfg.theta0))
+    [result] = _evaluate_lattice(cfg, sys_, [cfg.theta0])
+    if isinstance(result, Exception):
+        raise result
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "test_result.json")
     _write_json(path, {"config": cfg.effective(), "result": result.to_dict()})
@@ -162,11 +145,8 @@ def _grid_spec(cfg: RunConfig) -> grids.GridSpec:
     return grids.GridSpec(axes=axes, extra_points=spec.extra_points)
 
 
-def _evaluate_lattice(cfg: RunConfig, sys_, points: np.ndarray) -> list:
-    """One TestResult, or the exception raised, per point of an S or qLL-S lattice.
-
-    The points are evaluated together as one batch.
-    """
+def _evaluate_lattice(cfg: RunConfig, sys_, points) -> list:
+    """One TestResult, or the exception raised, per point, evaluated as one batch."""
     outcomes, params = [], []
     for point in points:
         try:
@@ -174,12 +154,17 @@ def _evaluate_lattice(cfg: RunConfig, sys_, points: np.ndarray) -> list:
             outcomes.append(None)
         except ValueError as exc:
             outcomes.append(exc)
-    batch = s_statistics if cfg.statistic == "S" else qll_s_statistics
-    results = iter(batch(params, sys_, HACConfig(bandwidth=cfg.bandwidth), cfg.level))
+    hac = HACConfig(bandwidth=cfg.bandwidth)
+    if cfg.statistic == "split":
+        split = SplitSpec(first_fraction=cfg.split_fraction, gap=cfg.split_gap)
+        results = iter(split_sample_s_statistics(params, sys_, split, hac, cfg.level))
+    else:
+        batch = s_statistics if cfg.statistic == "S" else qll_s_statistics
+        results = iter(batch(params, sys_, hac, cfg.level))
     return [next(results) if o is None else o for o in outcomes]
 
 
-def cmd_grid(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_grid(cfg: RunConfig, out_dir: str) -> int:
     data = _dataset(cfg)
     sys_ = _build_system(cfg, data)
     spec = _grid_spec(cfg)
@@ -188,17 +173,11 @@ def cmd_grid(cfg: RunConfig, out_dir: str, threads: int) -> int:
         "sample": [str(data.start), str(data.end)],
         "bandwidth": HACConfig(bandwidth=cfg.bandwidth).resolve_bandwidth(sys_.T),
     }
-    if cfg.statistic == "split":
-        result = grids.invert_test(
-            lambda point: _evaluate(cfg, sys_, _params(cfg, point)),
-            spec, cfg.level, threads=threads, variant=cfg.statistic, metadata=metadata,
-        )
-    else:
-        points = grids.make_grid(spec)
-        result = grids.collect_results(
-            spec, cfg.level, points, _evaluate_lattice(cfg, sys_, points),
-            variant=cfg.statistic, metadata=metadata,
-        )
+    points = grids.make_grid(spec)
+    result = grids.collect_results(
+        spec, cfg.level, points, _evaluate_lattice(cfg, sys_, points),
+        variant=cfg.statistic, metadata=metadata,
+    )
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path = grids.export_grid(result, os.path.join(out_dir, "grid"))
     summary = grids.set_summary(result)
@@ -273,12 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI run configuration")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         if name == "grid":
-            p.add_argument(
-                "--threads", type=int, default=1,
-                help="worker threads for split-sample lattices (default 1: serial is "
-                "faster, since the evaluation holds the interpreter lock); S and "
-                "qLL-S lattices are evaluated as one vectorised batch",
-            )
+            # perfbench/workloads.py reads this default as a machine fact; no
+            # flag sets it, and it goes once that read does
+            p.set_defaults(threads=1)
 
     p = sub.add_parser("misspec", help="run the misspecification laboratory")
     p.add_argument("--gamma", type=float, required=True)
@@ -307,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "estimate":
             return cmd_estimate(cfg, out_dir)
         if args.command == "grid":
-            return cmd_grid(cfg, out_dir, args.threads)
+            return cmd_grid(cfg, out_dir)
         raise ValueError(f"unknown command {args.command!r}")
     except (ConfigError, PipelineError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

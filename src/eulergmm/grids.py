@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -176,29 +175,20 @@ def invert_test(
     evaluator: Callable[[np.ndarray], TestResult],
     spec: GridSpec,
     level: float,
-    threads: int = 1,
     variant: str = "S",
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
     """Evaluate the test at every lattice point and collect acceptance flags.
 
     A point where the evaluator raises is recorded as by `collect_results`.
-    Output is merged by lattice index, so it is identical for serial and
-    threaded evaluation.
     """
     points = make_grid(spec)
-
-    def run_one(point: np.ndarray):
+    outcomes = []
+    for point in points:
         try:
-            return evaluator(point)
+            outcomes.append(evaluator(point))
         except Exception as exc:  # recorded, not fatal (unless >50% fail)
-            return exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, points))
-    else:
-        outcomes = [run_one(p) for p in points]
+            outcomes.append(exc)
     return collect_results(spec, level, points, outcomes, variant, metadata)
 
 

@@ -30,21 +30,23 @@ class HACConfig:
 def hac_variance(W: np.ndarray, cfg: HACConfig = HACConfig()) -> np.ndarray:
     """Bartlett-kernel long-run covariance of the rows of W.
 
-    W holds demeaned per-observation contributions. The estimate is
+    W holds demeaned per-observation contributions, T x n, or a stack of them
+    (... x T x n) with one covariance per leading index. The estimate is
     Gamma_0 + sum_j w_j (Gamma_j + Gamma_j') with w_j = 1 - j/(B+1) and
     Gamma_j = (1/T) sum_t W_t W_{t-j}', which is positive semidefinite by
     construction of the kernel.
     """
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"W must be 2-D, got shape {W.shape}")
-    T = W.shape[0]
+    if W.ndim < 2:
+        raise ValueError(f"W must be at least 2-D, got shape {W.shape}")
+    T = W.shape[-2]
     B = cfg.resolve_bandwidth(T)
     if B >= T:
         raise ValueError(f"bandwidth {B} must be < T={T}")
-    V = W.T @ W / T
+    Wt = W.swapaxes(-1, -2)
+    V = Wt @ W / T
     for j in range(1, B + 1):
         w = 1.0 - j / (B + 1.0)
-        G = W[j:].T @ W[:-j] / T
-        V += w * (G + G.T)
-    return 0.5 * (V + V.T)
+        G = Wt[..., j:] @ W[..., :-j, :] / T
+        V += w * (G + G.swapaxes(-1, -2))
+    return 0.5 * (V + V.swapaxes(-1, -2))

@@ -76,12 +76,6 @@ class SingularCovarianceError(ValueError):
     """Raised when the HAC covariance cannot be factorized even with a ridge."""
 
 
-def _coeff_vector(theta0, sys: MomentSystem) -> np.ndarray:
-    if isinstance(theta0, np.ndarray):
-        return np.asarray(theta0, dtype=float)
-    return np.asarray(sys.coeff(theta0), dtype=float)
-
-
 def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
     """Solve V x = rhs for symmetric positive-definite V.
 
@@ -239,11 +233,7 @@ class CUEKernel:
 def cue_kernel(
     sys: MomentSystem, cfg: HACConfig, samples: Optional[tuple[slice, ...]] = None
 ) -> CUEKernel:
-    """The CUE kernel of `samples` (default: all rows) of `sys`, cached on it.
-
-    Concurrent first calls may each build the kernel; the builds are
-    identical, so either may be kept.
-    """
+    """The CUE kernel of `samples` (default: all rows) of `sys`, cached on it."""
     samples = samples or (slice(0, sys.T),)
     key = tuple((s.start, s.stop, cfg.resolve_bandwidth(s.stop - s.start)) for s in samples)
     kern = sys.cue_kernels.get(key)
@@ -445,6 +435,7 @@ def minimize_cue(
 def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     """(B, stat, d_hat, flagged, errors): coefficient rows and CUE minima of the points.
 
+    A point is a model parameter point, or its coefficient vector b as an array.
     A point whose coefficient map or minimisation fails carries its exception
     in `errors` and NaN elsewhere; the other points are unaffected. (A failed
     map leaves a NaN row, which the minimisation records as singular; the
@@ -455,7 +446,7 @@ def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     errors: list = [None] * n
     for i, theta in enumerate(thetas):
         try:
-            B[i] = _coeff_vector(theta, sys)
+            B[i] = theta if isinstance(theta, np.ndarray) else sys.coeff(theta)
         except Exception as exc:  # recorded on its own row
             errors[i] = exc
     stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
@@ -645,6 +636,86 @@ def qll_s_statistic(
 # --- split-sample S ----------------------------------------------------------
 
 
+def split_sample_s_statistics(
+    thetas: Sequence,
+    sys: MomentSystem,
+    split: SplitSpec = SplitSpec(),
+    cfg: HACConfig = HACConfig(),
+    level: float = 0.90,
+) -> list:
+    """`split_sample_s_statistic` at every point: its TestResult, or the exception it raised.
+
+    The fit P1 of Y on the first subsample's instruments is made once. A point's
+    contributions (Z2 P1 J) * (Y2 b), their HAC and solve are stacked, BATCH_CHUNK
+    points at a time, each point in its own matrix products.
+    """
+    if sys.jacobian is None:
+        raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")
+    T = sys.T
+    T1 = int(np.floor(split.first_fraction * T))
+    start2 = T1 + split.gap
+    T2 = T - start2
+    if T1 < sys.k_z + 1 or T2 < sys.k_z + 1:
+        raise ValueError(
+            f"subsamples too short: T1={T1}, T2={T2}, need >= {sys.k_z + 1} each"
+        )
+
+    n = len(thetas)
+    B, J = np.full((n, sys.Y.shape[1]), np.nan), [None] * n
+    errors: list = [None] * n
+    for i, theta in enumerate(thetas):
+        try:
+            if isinstance(theta, np.ndarray):
+                raise ValueError(
+                    "split-sample S needs model parameters, not a coefficient vector"
+                )
+            B[i] = sys.coeff(theta)
+            J[i] = np.asarray(sys.jacobian(theta), dtype=float)
+        except Exception as exc:  # recorded on its own row
+            errors[i] = exc
+
+    Ybar = sys.Y - sys.Y.mean(axis=0)
+    Zex = sys.Z[:, 1:]  # drop the constant
+    Zbar = Zex - Zex.mean(axis=0)
+    Z1 = Zbar[:T1]
+    try:
+        P1 = np.linalg.solve(Z1.T @ Z1, Z1.T @ Ybar[:T1])
+    except np.linalg.LinAlgError:
+        raise ValueError("singular Z'Z on the first subsample") from None
+    Q2, Y2 = Zbar[start2:] @ P1, Ybar[start2:]
+
+    ok = np.flatnonzero([e is None for e in errors])
+    stat, flagged = np.full(n, np.nan), np.zeros(n, bool)
+    for lo in range(0, ok.size, BATCH_CHUNK):
+        rows = ok[lo:lo + BATCH_CHUNK]
+        v = (Q2 @ np.array([J[i] for i in rows])) * (Y2 @ B[rows, :, None])  # N x T2 x n_p
+        s = v.sum(axis=-2)
+        x, flagged[rows], singular = _solve_spd_rows(hac_variance(v, cfg), s[..., None])
+        stat[rows] = np.einsum("ni,ni->n", s, x[..., 0]) / T2
+        for i in rows[singular]:
+            errors[i] = SingularCovarianceError(
+                "HAC covariance singular even after ridge (split-sample Omega)"
+            )
+    bandwidth = cfg.resolve_bandwidth(T2)
+
+    def make(i: int) -> TestResult:
+        n_p = J[i].shape[1]
+        crit = chi2_quantile(n_p, level)
+        return TestResult(
+            statistic=float(stat[i]),
+            df=n_p,
+            critical_value=crit,
+            level=level,
+            accept=bool(stat[i] <= crit),
+            d_hat=None,
+            bandwidth=bandwidth,
+            variant="split-S",
+            ridge_flagged=bool(flagged[i]),
+        )
+
+    return _outcomes(errors, make)
+
+
 def split_sample_s_statistic(
     theta0,
     sys: MomentSystem,
@@ -658,54 +729,10 @@ def split_sample_s_statistic(
     evaluated on the second, and a gap of `split.gap` observations between the
     two removes dependence through the MA error. The constant is dropped and Y
     and the excluded instruments are demeaned over the full sample; degrees of
-    freedom equal the number of free structural parameters.
+    freedom equal the number of free structural parameters. `theta0` is a
+    model parameter point, since the statistic needs its Jacobian.
     """
-    if sys.jacobian is None:
-        raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")
-    b = _coeff_vector(theta0, sys)
-    J = np.asarray(sys.jacobian(theta0), dtype=float)
-    n_p = J.shape[1]
-
-    T = sys.T
-    T1 = int(np.floor(split.first_fraction * T))
-    start2 = T1 + split.gap
-    T2 = T - start2
-    if T1 < sys.k_z + 1 or T2 < sys.k_z + 1:
-        raise ValueError(
-            f"subsamples too short: T1={T1}, T2={T2}, need >= {sys.k_z + 1} each"
-        )
-
-    Ybar = sys.Y - sys.Y.mean(axis=0)
-    Zex = sys.Z[:, 1:]  # drop the constant
-    Zbar = Zex - Zex.mean(axis=0)
-
-    W = Ybar @ J  # T x n_p combinations whose fit is learned on sample 1
-    Z1, W1 = Zbar[:T1], W[:T1]
-    try:
-        pi1 = np.linalg.solve(Z1.T @ Z1, Z1.T @ W1)
-    except np.linalg.LinAlgError:
-        raise ValueError("singular Z'Z on the first subsample") from None
-
-    Z2, Y2 = Zbar[start2:], Ybar[start2:]
-    What2 = Z2 @ pi1
-    resid2 = Y2 @ b
-    v = What2 * resid2[:, None]  # T2 x n_p per-observation contributions
-    s = v.sum(axis=0)
-    Omega = hac_variance(v, cfg)
-    x, _ = _solve_spd(Omega, s, context="split-sample Omega")
-    stat = float(s @ x) / T2
-
-    crit = chi2_quantile(n_p, level)
-    return TestResult(
-        statistic=stat,
-        df=n_p,
-        critical_value=crit,
-        level=level,
-        accept=stat <= crit,
-        d_hat=None,
-        bandwidth=cfg.resolve_bandwidth(T2),
-        variant="split-S",
-    )
+    return _one(split_sample_s_statistics([theta0], sys, split, cfg, level))
 
 
 # --- first-stage diagnostics -------------------------------------------------

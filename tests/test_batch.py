@@ -1,9 +1,11 @@
-"""The batched S and qLL-S path against its own batch of one.
+"""The batched S, qLL-S and split-sample S paths against their own batch of one.
 
-`s_statistics` and `qll_s_statistics` minimise many points together, in
-chunks of `BATCH_CHUNK`; `s_statistic` and `qll_s_statistic` are a batch of
-one of the same code. A point's numbers must not depend on the rest of its
-batch, and a point that fails must not disturb the others.
+`s_statistics`, `qll_s_statistics` and `split_sample_s_statistics` evaluate
+many points together, in chunks of `BATCH_CHUNK`; `s_statistic`,
+`qll_s_statistic` and `split_sample_s_statistic` are a batch of one of the
+same code. A point's numbers must not depend on the rest of its batch, and a
+point that fails must not disturb the others. The split-sample batch must
+also match its earlier per-point path, `split_reference`.
 """
 
 import json
@@ -12,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import split_reference
 from eulergmm.cli import main
 from eulergmm.design import BASELINE_INSTRUMENTS, build_design
 from eulergmm.grids import (
@@ -29,12 +32,19 @@ from eulergmm.inference import (
     qll_s_statistics,
     s_statistic,
     s_statistics,
+    split_sample_s_statistic,
+    split_sample_s_statistics,
 )
 from eulergmm.models import LITERATURE_POINTS, SemiStructuralParams, StructuralParams
 from eulergmm.pipeline import TransformSpec
 from eulergmm.snapshot import transform_snapshot
+from test_acceptance import weak_iv_system
 
-STATISTICS = {"S": (s_statistics, s_statistic), "qll": (qll_s_statistics, qll_s_statistic)}
+STATISTICS = {
+    "S": (s_statistics, s_statistic),
+    "qll": (qll_s_statistics, qll_s_statistic),
+    "split": (split_sample_s_statistics, split_sample_s_statistic),
+}
 
 
 @pytest.fixture(scope="module")
@@ -62,16 +72,23 @@ def semi_points(rho):
     return [SemiStructuralParams(rho, *p) for p in make_grid(box(default_semi_grid(), 20))]
 
 
-def assert_same(batch, single):
+def lattice(systems, case):
+    """(system, points) of a case: "IAC", or "SEMI <rho>"."""
+    if case == "IAC":
+        return systems["IAC"], iac_points()
+    return systems["SEMI"], semi_points(float(case.split()[1]))
+
+
+def assert_same(batch, single, rel=1e-12):
     assert len(batch) == len(single)
     for a, b in zip(batch, single):
         if isinstance(b, Exception):
             assert type(a) is type(b) and str(a) == str(b)
             continue
-        assert a.statistic == pytest.approx(b.statistic, rel=1e-12, abs=0.0)
+        assert a.statistic == pytest.approx(b.statistic, rel=rel, abs=0.0)
         assert a.d_hat == b.d_hat
-        assert (a.ridge_flagged, a.accept, a.df, a.critical_value, a.variant) == (
-            b.ridge_flagged, b.accept, b.df, b.critical_value, b.variant)
+        assert (a.ridge_flagged, a.accept, a.df, a.critical_value, a.variant, a.bandwidth) == (
+            b.ridge_flagged, b.accept, b.df, b.critical_value, b.variant, b.bandwidth)
 
 
 def per_point(fn, thetas, sys_):
@@ -88,10 +105,7 @@ class TestBatchOfOne:
     @pytest.mark.parametrize("statistic", sorted(STATISTICS))
     @pytest.mark.parametrize("case", ["IAC", "SEMI 0", "SEMI 0.9"])
     def test_batch_matches_batch_of_one(self, systems, statistic, case):
-        if case == "IAC":
-            sys_, thetas = systems["IAC"], iac_points()
-        else:
-            sys_, thetas = systems["SEMI"], semi_points(float(case.split()[1]))
+        sys_, thetas = lattice(systems, case)
         batch, single = STATISTICS[statistic]
         assert_same(batch(thetas, sys_), per_point(single, thetas, sys_))
 
@@ -109,6 +123,28 @@ class TestBatchOfOne:
             clean, mixed = batch(thetas, systems["SEMI"]), batch(bad, systems["SEMI"])
             assert isinstance(mixed[5], AttributeError)
             assert_same(mixed[:5] + mixed[6:], clean)
+
+
+class TestSplitReference:
+    """The split-sample batch against the earlier per-point path.
+
+    The batch fits Y on the first subsample once and applies each point's
+    Jacobian after, where the reference fits Y J per point: the two agree to
+    rounding, not bit for bit.
+    """
+
+    @pytest.mark.parametrize("case", ["IAC", "SEMI 0", "SEMI 0.9"])
+    def test_lattice_matches_reference(self, systems, case):
+        sys_, thetas = lattice(systems, case)
+        assert_same(split_sample_s_statistics(thetas, sys_),
+                    per_point(split_reference.split_sample_s_statistic, thetas, sys_), rel=1e-7)
+
+    def test_weak_iv_systems_match_reference(self):
+        thetas = [-1.0, 0.0, 0.5, 1.0, 1.5, 3.0]
+        for seed in range(50):
+            sys_ = weak_iv_system(7000 + seed)
+            assert_same(split_sample_s_statistics(thetas, sys_),
+                        per_point(split_reference.split_sample_s_statistic, thetas, sys_), rel=1e-7)
 
 
 def write_config(tmp_path, statistic, extra_points, name="run.ini"):

@@ -149,8 +149,7 @@ class TestGrid:
             "[data]\nsnapshot = true\n"
             "[grid]\npoints = 2, 3, 2\nextra_points = 0.3,5.0,1.0\n",
         )
-        rc = main(["grid", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--threads", "2"])
+        rc = main(["grid", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
         sidecar = json.loads((tmp_path / "o" / "grid.json").read_text())
         assert sidecar["summary"]["total_points"] == 2 * 3 * 2 + 1
@@ -173,8 +172,7 @@ class TestGrid:
             name="grid.ini",
         )
         assert main(["estimate", "--config", est_cfg, "--out", str(tmp_path / "e")]) == 0
-        assert main(["grid", "--config", grid_cfg, "--out", str(tmp_path / "g"),
-                     "--threads", "1"]) == 0
+        assert main(["grid", "--config", grid_cfg, "--out", str(tmp_path / "g")]) == 0
         est = json.loads((tmp_path / "e" / "test_result.json").read_text())["result"]
         rows = (tmp_path / "g" / "grid.csv").read_text().splitlines()
         last = rows[-1].split(",")
@@ -197,8 +195,13 @@ class TestGrid:
         assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "IAC grid needs 3 point counts (rho, kappa, zeta)" in capsys.readouterr().err
 
-    def test_threads_default_serial(self):
+    def test_threads_default_serial(self, capsys):
+        # the attribute stays for the benchmark harness; no flag sets it
         assert build_parser().parse_args(["grid", "--config", "run.ini"]).threads == 1
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["grid", "--config", "run.ini", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestMisspec:
@@ -222,8 +225,7 @@ class TestReport:
         cfg = write_config(
             tmp_path, "[data]\nsnapshot = true\n[grid]\npoints = 2, 2, 2\n"
         )
-        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--threads", "1"]) == 0
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
         rc = main(["report", "--grid", str(tmp_path / "o" / "grid.json")])
         assert rc == 0

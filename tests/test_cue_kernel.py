@@ -5,8 +5,6 @@ trial d, bounded Brent) and a dense-scan global search; the kernel path must
 agree with both on the paper's designs.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from eulergmm.grids import (
     GridSpec,
     default_semi_grid,
     default_structural_grid,
-    invert_test,
     make_grid,
 )
 from eulergmm.hac import HACConfig
@@ -56,29 +53,6 @@ def residual_scan(sys_, b):
 
 
 class TestKernelCovariance:
-    def test_threaded_first_use_matches_serial(self):
-        # kernels are built on first use by whichever pool thread gets there;
-        # a duplicate build must not change any statistic
-        data = transform_snapshot(TransformSpec())
-        spec = semi_box(6)
-
-        def run(threads):
-            sys_ = build_design(data, "SEMI", BASELINE_INSTRUMENTS)
-            return invert_test(
-                lambda p: qll_s_statistic(SemiStructuralParams(0.0, *p), sys_),
-                spec, 0.90, threads=threads,
-            )
-
-        serial = run(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run(8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(threaded.stats, serial.stats)
-        assert not threaded.errors.any()
-
     @pytest.mark.parametrize("bandwidth", [0, "auto"])
     def test_matches_direct_hac(self, systems, bandwidth):
         cfg = HACConfig(bandwidth=bandwidth)

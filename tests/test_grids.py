@@ -117,15 +117,6 @@ class TestInvertTest:
         assert (sets[0] <= sets[1]).all() and (sets[1] <= sets[2]).all()
         assert sets[0].sum() < sets[2].sum()
 
-    def test_parallel_serial_identical_exports(self, tmp_path):
-        ev = ball_evaluator(center=(0.3, -0.2))
-        g1 = invert_test(ev, SMALL, 0.90, threads=1)
-        g4 = invert_test(ev, SMALL, 0.90, threads=4)
-        p1 = export_grid(g1, tmp_path / "serial")
-        p4 = export_grid(g4, tmp_path / "threaded")
-        for a, b in zip(p1, p4):
-            assert open(a, "rb").read() == open(b, "rb").read()
-
     def test_deterministic_repeat(self):
         ev = ball_evaluator()
         g1 = invert_test(ev, SMALL, 0.90)

@@ -70,9 +70,13 @@ class TestVariance:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=8))
     def test_symmetric_and_psd(self, seed, bw):
         rng = np.random.default_rng(seed)
-        W = rng.normal(size=(40, 4))
-        W -= W.mean(axis=0)
-        V = hac_variance(W, HACConfig(bandwidth=bw))
-        assert np.array_equal(V, V.T)
-        eig = np.linalg.eigvalsh(V)
-        assert eig.min() >= -1e-10 * max(eig.max(), 1e-30)
+        W = rng.normal(size=(3, 40, 4))
+        W -= W.mean(axis=1, keepdims=True)
+        cfg = HACConfig(bandwidth=bw)
+        # a stack gives one covariance per leading index, each with the bits
+        # of its own 2-D call
+        for Wi, V in zip(W, hac_variance(W, cfg)):
+            assert np.array_equal(V, hac_variance(Wi, cfg))
+            assert np.array_equal(V, V.T)
+            eig = np.linalg.eigvalsh(V)
+            assert eig.min() >= -1e-10 * max(eig.max(), 1e-30)

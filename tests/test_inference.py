@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -207,7 +208,8 @@ class TestSplitSampleStatistic:
             r = split_sample_s_statistic(1.0, weak_instrument_system(seed))
             assert r.statistic >= 0.0
 
-    def test_iac_df_three(self):
+    @staticmethod
+    def iac_system():
         rng = np.random.default_rng(3)
         data = Dataset(
             start=QuarterIndex(1967, 1),
@@ -217,8 +219,10 @@ class TestSplitSampleStatistic:
                 "u": rng.normal(size=120),
             },
         )
-        sys_ = build_design(data, "IAC", BASELINE_INSTRUMENTS)
-        r = split_sample_s_statistic(StructuralParams(0.3, 2.0, 1.0), sys_)
+        return build_design(data, "IAC", BASELINE_INSTRUMENTS)
+
+    def test_iac_df_three(self):
+        r = split_sample_s_statistic(StructuralParams(0.3, 2.0, 1.0), self.iac_system())
         assert r.df == 3
         assert r.variant == "split-S"
 
@@ -231,6 +235,21 @@ class TestSplitSampleStatistic:
         sys_ = toy_system()
         with pytest.raises(ValueError, match="Jacobian"):
             split_sample_s_statistic(np.array([1.0]), sys_)
+
+    def test_coefficient_vector_is_rejected(self):
+        for sys_, b in ((self.iac_system(), np.ones(8)), (weak_instrument_system(0), np.ones(1))):
+            with pytest.raises(ValueError, match="model parameters, not a coefficient vector"):
+                split_sample_s_statistic(b, sys_)
+
+    def test_ridge_is_flagged(self):
+        # equal Jacobian columns give equal contribution columns: Omega is
+        # singular, and only the ridge factors it
+        sys_ = dataclasses.replace(
+            weak_instrument_system(0), jacobian=lambda th: np.array([[0.0, 0.0], [-1.0, -1.0]])
+        )
+        r = split_sample_s_statistic(1.0, sys_)
+        assert np.isfinite(r.statistic) and r.ridge_flagged
+        assert r.to_dict()["ridge_flagged"] is True
 
     def test_split_spec_validation(self):
         with pytest.raises(ValueError):

@@ -52,10 +52,11 @@ class TestChi2Quantile:
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # numpy is the only runtime dependency: `import numpy, scipy.special` alone
-    # is about four times `import numpy`
+    # is about four times `import numpy`; and the library runs no thread pool
     code = (
         "import sys, eulergmm.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m.startswith('concurrent.futures')])"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
