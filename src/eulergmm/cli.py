@@ -213,25 +213,34 @@ def cmd_misspec(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_lines(sidecar: dict) -> list[str]:
+    s = sidecar["summary"]
+    lines = [
+        f"confidence set at level {s['level']} (variant {s['variant']})",
+        f"  accepted {s['accepted_points']}/{s['total_points']} points "
+        f"({s['accepted_fraction']:.1%}), {s['error_points']} evaluation errors",
+    ]
+    for name, bounds in s["projections"].items():
+        if bounds is None:
+            lines.append(f"  {name}: empty projection")
+        else:
+            lines.append(f"  {name}: [{bounds[0]:.6g}, {bounds[1]:.6g}]")
+    meta = sidecar.get("metadata", {})
+    if "config" in meta:
+        lines.append("  settings: " + json.dumps(meta["config"], sort_keys=True))
+    return lines
+
+
 def cmd_report(grid_json: str) -> int:
     if not os.path.exists(grid_json):
         raise PipelineError(f"no such grid sidecar: {grid_json}")
-    with open(grid_json, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    s = sidecar["summary"]
-    print(f"confidence set at level {s['level']} (variant {s['variant']})")
-    print(
-        f"  accepted {s['accepted_points']}/{s['total_points']} points "
-        f"({s['accepted_fraction']:.1%}), {s['error_points']} evaluation errors"
-    )
-    for name, bounds in s["projections"].items():
-        if bounds is None:
-            print(f"  {name}: empty projection")
-        else:
-            print(f"  {name}: [{bounds[0]:.6g}, {bounds[1]:.6g}]")
-    meta = sidecar.get("metadata", {})
-    if "config" in meta:
-        print("  settings: " + json.dumps(meta["config"], sort_keys=True))
+    try:
+        with open(grid_json, encoding="utf-8") as fh:
+            lines = _report_lines(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        kind = type(exc).__name__
+        raise PipelineError(f"{grid_json}: not a grid sidecar: {kind} {exc}") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -1,37 +1,25 @@
-"""INI run configuration: parsing, validation, and defaults."""
+"""INI run configuration: one table of keys drives parsing, validation and output."""
 
 from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
+from .design import InstrumentSpec
+from .hac import HACConfig
+from .inference import SplitSpec
 from .models import ModelKind
-from .pipeline import EXTERNAL_COLUMNS, InvestmentMeasure
+from .pipeline import EXTERNAL_COLUMNS, InvestmentMeasure, TransformSpec
 from .quarters import QuarterIndex
 
 
 class ConfigError(ValueError):
     pass
-
-
-#: Recognized keys per section; anything else is rejected with a suggestion.
-KNOWN_KEYS = {
-    "data": {
-        "panel", "series_dir", "snapshot", "investment_measure", "rate_scale",
-        "sample_start", "sample_end",
-    },
-    "model": {"kind", "beta", "delta", "rho"},
-    "instruments": {"lags", "external"},
-    "inference": {
-        "statistic", "level", "bandwidth", "split_fraction", "split_gap",
-        "theta0",
-    },
-    "grid": {"points", "extra_points"},
-    "output": {"dir"},
-}
 
 
 @dataclass
@@ -40,8 +28,8 @@ class RunConfig:
     panel: Optional[str] = None
     series_dir: Optional[str] = None
     snapshot: bool = False
-    investment_measure: InvestmentMeasure = InvestmentMeasure.SW
-    rate_scale: float = 400.0
+    investment_measure: InvestmentMeasure = TransformSpec.investment_measure
+    rate_scale: float = TransformSpec.rate_scale
     sample_start: Optional[QuarterIndex] = None
     sample_end: Optional[QuarterIndex] = None
     # model
@@ -50,16 +38,14 @@ class RunConfig:
     delta: float = 0.025
     rho: float = 0.0  # fixed rho for the SEMI variant
     # instruments
-    instrument_lags: tuple[tuple[str, int], ...] = (
-        ("delta_i", 1), ("r_p", 2), ("u", 1),
-    )
+    instrument_lags: tuple[tuple[str, int], ...] = InstrumentSpec.lags
     external: tuple[str, ...] = ()
     # inference
     statistic: str = "S"
     level: float = 0.90
-    bandwidth: object = "auto"
-    split_fraction: float = 0.45
-    split_gap: int = 3
+    bandwidth: object = HACConfig.bandwidth
+    split_fraction: float = SplitSpec.first_fraction
+    split_gap: int = SplitSpec.gap
     theta0: Optional[tuple[float, ...]] = None
     # grid
     grid_points: Optional[tuple[int, ...]] = None
@@ -69,52 +55,21 @@ class RunConfig:
 
     def effective(self) -> dict:
         """Fully-resolved key/value view for embedding in outputs."""
-        return {
-            "data": {
-                "panel": self.panel,
-                "series_dir": self.series_dir,
-                "snapshot": self.snapshot,
-                "investment_measure": self.investment_measure.value,
-                "rate_scale": self.rate_scale,
-                "sample_start": str(self.sample_start) if self.sample_start else None,
-                "sample_end": str(self.sample_end) if self.sample_end else None,
-            },
-            "model": {
-                "kind": self.model.value,
-                "beta": self.beta,
-                "delta": self.delta,
-                "rho": self.rho,
-            },
-            "instruments": {
-                "lags": [[n, l] for n, l in self.instrument_lags],
-                "external": list(self.external),
-            },
-            "inference": {
-                "statistic": self.statistic,
-                "level": self.level,
-                "bandwidth": self.bandwidth,
-                "split_fraction": self.split_fraction,
-                "split_gap": self.split_gap,
-                "theta0": list(self.theta0) if self.theta0 else None,
-            },
-            "grid": {
-                "points": list(self.grid_points) if self.grid_points else None,
-                "extra_points": [list(p) for p in self.extra_points],
-            },
-            "output": {"dir": self.out_dir},
-        }
+        out: dict = {}
+        for (section, key), (attr, *_) in _KEYS.items():
+            out.setdefault(section, {})[key] = _plain(getattr(self, attr))
+        return out
 
 
-def _err(path: str, section: str, key: str, msg: str) -> ConfigError:
-    return ConfigError(f"{path}: [{section}] {key}: {msg}")
-
-
-def _get(path: str, section: configparser.SectionProxy, key: str, convert, expected: str):
-    """`convert` of one value; a ValueError from it names the file, section and key."""
-    try:
-        return convert(section[key])
-    except ValueError:
-        raise _err(path, section.name, key, f"{expected}, got {section[key]!r}") from None
+def _plain(value):
+    """A JSON-friendly copy: Enum -> value, QuarterIndex -> str, tuple -> list."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, QuarterIndex):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _boolean(text: str) -> bool:
@@ -123,27 +78,86 @@ def _boolean(text: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _numbers(kind):
     return lambda text: tuple(kind(x) for x in text.split(","))
 
 
 def _parse_lags(text: str) -> tuple[tuple[str, int], ...]:
-    out = []
-    for part in text.split(","):
-        if part.strip():
-            name, _, lag = part.partition(":")
-            out.append((name.strip(), int(lag)))
-    return tuple(out)
+    pairs = (part.partition(":") for part in text.split(",") if part.strip())
+    return tuple((name.strip(), int(lag)) for name, _, lag in pairs)
 
 
-def _parse_extra_points(text: str) -> tuple[tuple[float, ...], ...]:
-    points = []
-    for group in text.split(";"):
-        group = group.strip()
-        if not group:
-            continue
-        points.append(tuple(float(x) for x in group.split(",")))
-    return tuple(points)
+def _in_unit(value: float) -> Optional[str]:
+    return None if 0 < value < 1 else f"must be in (0,1), got {value}"
+
+
+def _non_negative(value) -> Optional[str]:
+    return None if value == "auto" or value >= 0 else "must be >= 0"
+
+
+def _known_external(names: tuple[str, ...]) -> Optional[str]:
+    unknown = [s for s in names if s not in EXTERNAL_COLUMNS]
+    return f"unknown {unknown}; known: {', '.join(EXTERNAL_COLUMNS)}" if unknown else None
+
+
+_NUMBER = "not a finite number"
+
+#: (section, key) -> (RunConfig attribute, parser, expected form, check). The
+#: parser raises ValueError on text it cannot read; the check returns the
+#: message for a parsed value it rejects, or None.
+_KEYS = {
+    ("data", "panel"): (
+        "panel", str, "",
+        lambda v: f"file not found: {v}" if v and not os.path.exists(v) else None),
+    ("data", "series_dir"): ("series_dir", str, "", None),
+    ("data", "snapshot"): ("snapshot", _boolean, "must be true or false", None),
+    ("data", "investment_measure"): (
+        "investment_measure", InvestmentMeasure, "must be SW or JPT", None),
+    ("data", "rate_scale"): (
+        "rate_scale", _finite, _NUMBER, lambda v: None if v > 0 else "must be > 0"),
+    ("data", "sample_start"): ("sample_start", QuarterIndex.parse, "must be YYYYQn", None),
+    ("data", "sample_end"): ("sample_end", QuarterIndex.parse, "must be YYYYQn", None),
+    ("model", "kind"): ("model", ModelKind, "must be IAC, CAC, or SEMI", None),
+    ("model", "beta"): ("beta", _finite, _NUMBER, _in_unit),
+    ("model", "delta"): ("delta", _finite, _NUMBER, _in_unit),
+    ("model", "rho"): (
+        "rho", _finite, _NUMBER,
+        lambda v: None if 0 <= v < 1 else f"must be in [0,1), got {v}"),
+    ("instruments", "lags"): (
+        "instrument_lags", _parse_lags, "must be comma-separated 'column:lag' pairs", None),
+    ("instruments", "external"): (
+        "external", lambda text: tuple(s.strip() for s in text.split(",") if s.strip()), "",
+        _known_external),
+    ("inference", "statistic"): (
+        "statistic", str.strip, "",
+        lambda v: None if v in ("S", "qll", "split") else f"must be S, qll, or split, got {v!r}"),
+    ("inference", "level"): ("level", _finite, _NUMBER, _in_unit),
+    ("inference", "bandwidth"): (
+        "bandwidth", lambda v: v if v == "auto" else int(v),
+        "must be 'auto' or an integer", _non_negative),
+    ("inference", "split_fraction"): ("split_fraction", _finite, _NUMBER, _in_unit),
+    ("inference", "split_gap"): ("split_gap", int, "not an integer", _non_negative),
+    ("inference", "theta0"): (
+        "theta0", _numbers(_finite), "must be comma-separated finite numbers", None),
+    ("grid", "points"): (
+        "grid_points", _numbers(int), "must be comma-separated integers",
+        lambda v: None if min(v) >= 2 else "each axis needs >= 2 points"),
+    ("grid", "extra_points"): (
+        "extra_points",
+        lambda text: tuple(_numbers(_finite)(g) for g in text.split(";") if g.strip()),
+        "must be ';'-separated points of comma-separated finite numbers", None),
+    ("output", "dir"): ("out_dir", str, "", None),
+}
+
+#: Recognized keys per section; anything else is rejected with a suggestion.
+KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
 
 
 def parse_config(path: str | os.PathLike) -> RunConfig:
@@ -172,104 +186,20 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]{extra}")
 
     cfg = RunConfig()
+    for (section, key), (attr, convert, expected, check) in _KEYS.items():
+        if not parser.has_option(section, key):
+            continue
+        text = parser[section][key]
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ConfigError(f"{path}: [{section}] {key}: {expected}, got {text!r}") from None
+        message = check(value) if check else None
+        if message:
+            raise ConfigError(f"{path}: [{section}] {key}: {message}")
+        setattr(cfg, attr, value)
 
-    if parser.has_section("data"):
-        d = parser["data"]
-        cfg.panel = d.get("panel", cfg.panel)
-        cfg.series_dir = d.get("series_dir", cfg.series_dir)
-        if "snapshot" in d:
-            cfg.snapshot = _get(path, d, "snapshot", _boolean, "must be true or false")
-        if "investment_measure" in d:
-            cfg.investment_measure = _get(
-                path, d, "investment_measure", InvestmentMeasure, "must be SW or JPT"
-            )
-        if "rate_scale" in d:
-            cfg.rate_scale = _get(path, d, "rate_scale", float, "not a number")
-            if not cfg.rate_scale > 0:
-                raise _err(path, "data", "rate_scale", "must be > 0")
-        for key in ("sample_start", "sample_end"):
-            if key in d:
-                setattr(cfg, key, _get(path, d, key, QuarterIndex.parse, "must be YYYYQn"))
-        if cfg.panel and not os.path.exists(cfg.panel):
-            raise _err(path, "data", "panel", f"file not found: {cfg.panel}")
-
-    if parser.has_section("model"):
-        m = parser["model"]
-        if "kind" in m:
-            cfg.model = _get(path, m, "kind", ModelKind, "must be IAC, CAC, or SEMI")
-        for key in ("beta", "delta", "rho"):
-            if key in m:
-                setattr(cfg, key, _get(path, m, key, float, "not a number"))
-        if not 0 < cfg.beta < 1:
-            raise _err(path, "model", "beta", f"must be in (0,1), got {cfg.beta}")
-        if not 0 < cfg.delta < 1:
-            raise _err(path, "model", "delta", f"must be in (0,1), got {cfg.delta}")
-        if not 0 <= cfg.rho < 1:
-            raise _err(path, "model", "rho", f"must be in [0,1), got {cfg.rho}")
-
-    if parser.has_section("instruments"):
-        i = parser["instruments"]
-        if "lags" in i:
-            cfg.instrument_lags = _get(
-                path, i, "lags", _parse_lags, "must be comma-separated 'column:lag' pairs"
-            )
-        if "external" in i:
-            cfg.external = tuple(
-                s.strip() for s in i["external"].split(",") if s.strip()
-            )
-            unknown = [s for s in cfg.external if s not in EXTERNAL_COLUMNS]
-            if unknown:
-                raise _err(path, "instruments", "external",
-                           f"unknown {unknown}; known: {', '.join(EXTERNAL_COLUMNS)}")
-
-    if parser.has_section("inference"):
-        f = parser["inference"]
-        if "statistic" in f:
-            stat = f["statistic"].strip()
-            if stat not in ("S", "qll", "split"):
-                raise _err(path, "inference", "statistic",
-                           f"must be S, qll, or split, got {stat!r}")
-            cfg.statistic = stat
-        if "level" in f:
-            cfg.level = _get(path, f, "level", float, "not a number")
-            if not 0 < cfg.level < 1:
-                raise _err(path, "inference", "level",
-                           f"must be in (0,1), got {cfg.level}")
-        if "bandwidth" in f:
-            cfg.bandwidth = _get(
-                path, f, "bandwidth", lambda v: v if v == "auto" else int(v),
-                "must be 'auto' or an integer",
-            )
-            if cfg.bandwidth != "auto" and cfg.bandwidth < 0:
-                raise _err(path, "inference", "bandwidth", "must be >= 0")
-        if "split_fraction" in f:
-            cfg.split_fraction = _get(path, f, "split_fraction", float, "not a number")
-            if not 0 < cfg.split_fraction < 1:
-                raise _err(path, "inference", "split_fraction", "must be in (0,1)")
-        if "split_gap" in f:
-            cfg.split_gap = _get(path, f, "split_gap", int, "not an integer")
-            if cfg.split_gap < 0:
-                raise _err(path, "inference", "split_gap", "must be >= 0")
-        if "theta0" in f:
-            cfg.theta0 = _get(
-                path, f, "theta0", _numbers(float), "must be comma-separated numbers"
-            )
-
-    if parser.has_section("grid"):
-        g = parser["grid"]
-        if "points" in g:
-            cfg.grid_points = _get(
-                path, g, "points", _numbers(int), "must be comma-separated integers"
-            )
-            if any(p < 2 for p in cfg.grid_points):
-                raise _err(path, "grid", "points", "each axis needs >= 2 points")
-        if "extra_points" in g:
-            cfg.extra_points = _get(
-                path, g, "extra_points", _parse_extra_points,
-                "must be ';'-separated points of comma-separated numbers",
-            )
-
-    if parser.has_section("output"):
-        cfg.out_dir = parser["output"].get("dir", cfg.out_dir)
-
+    sources = [key for key in ("panel", "series_dir", "snapshot") if getattr(cfg, key)]
+    if len(sources) > 1:
+        raise ConfigError(f"{path}: [data] {' and '.join(sources)}: set only one data source")
     return cfg

@@ -275,5 +275,5 @@ def read_grid_csv(path: str | os.PathLike) -> dict:
         reader = csv.reader(fh)
         header = next(reader)
         rows = [row for row in reader if row]
-    data = np.array([[float(x) for x in row] for row in rows])
+    data = np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}

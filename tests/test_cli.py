@@ -238,6 +238,19 @@ class TestReport:
         assert rc == 1
         assert "missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("{}", "not a grid sidecar: KeyError 'summary'"),
+        ("not json", "not a grid sidecar: JSONDecodeError Expecting value"),
+        ('{"summary": {}}', "not a grid sidecar: KeyError 'level'"),
+    ])
+    def test_not_a_sidecar_is_a_named_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "other.json"
+        path.write_text(text)
+        assert main(["report", "--grid", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+
 
 class TestParser:
     def test_version_flag(self, capsys):

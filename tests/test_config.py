@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from eulergmm.config import ConfigError, RunConfig, parse_config
+from eulergmm.config import KNOWN_KEYS, ConfigError, RunConfig, parse_config
 from eulergmm.models import ModelKind
 from eulergmm.pipeline import InvestmentMeasure
 from eulergmm.quarters import QuarterIndex
@@ -34,11 +37,7 @@ class TestDefaults:
         json.dumps(RunConfig().effective())
 
 
-class TestParsing:
-    def test_full_round_trip(self, tmp_path):
-        path = write(
-            tmp_path,
-            """
+FULL = """
 [data]
 snapshot = true
 investment_measure = JPT
@@ -66,8 +65,12 @@ extra_points = 0.0,0.0; 1.5,2.5
 
 [output]
 dir = out
-""",
-        )
+"""
+
+
+class TestParsing:
+    def test_full_round_trip(self, tmp_path):
+        path = write(tmp_path, FULL)
         cfg = parse_config(path)
         assert cfg.snapshot is True
         assert cfg.investment_measure is InvestmentMeasure.JPT
@@ -85,6 +88,25 @@ dir = out
     def test_bandwidth_auto(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[inference]\nbandwidth = auto\n"))
         assert cfg.bandwidth == "auto"
+
+    def test_full_effective(self, tmp_path):
+        cfg = parse_config(write(tmp_path, FULL))
+        assert cfg.effective() == {
+            "data": {"panel": None, "series_dir": None, "snapshot": True,
+                     "investment_measure": "JPT", "rate_scale": 100.0,
+                     "sample_start": "1967Q1", "sample_end": "2019Q4"},
+            "model": {"kind": "SEMI", "beta": 0.99, "delta": 0.025, "rho": 0.9},
+            "instruments": {"lags": [["delta_i", 1], ["delta_i", 2], ["u", 1]],
+                            "external": ["mp_shock"]},
+            "inference": {"statistic": "split", "level": 0.95, "bandwidth": 4,
+                          "split_fraction": 0.45, "split_gap": 3, "theta0": [0.1, 0.2]},
+            "grid": {"points": [10, 12], "extra_points": [[0.0, 0.0], [1.5, 2.5]]},
+            "output": {"dir": "out"},
+        }
+
+    def test_empty_panel_is_no_source(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "[data]\npanel =\nsnapshot = true\n"))
+        assert cfg.panel == "" and cfg.snapshot is True
 
 
 class TestRejections:
@@ -151,6 +173,9 @@ class TestRejections:
         ("inference", "split_gap", "1.5"),
         ("inference", "split_fraction", "half"),
         ("model", "beta", "b"),
+        ("data", "rate_scale", "inf"),
+        ("inference", "theta0", "nan,1,1"),
+        ("grid", "extra_points", "inf,1"),
     ])
     def test_unparsable_value_names_file_and_key(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
@@ -173,6 +198,34 @@ class TestRejections:
         with pytest.raises(ConfigError, match=f"{tmp_path}: cannot read config file"):
             parse_config(tmp_path)
 
+    @pytest.mark.parametrize("sources,named", [
+        ("snapshot = true\nseries_dir = raw\n", "series_dir and snapshot"),
+        ("panel = {panel}\nsnapshot = yes\n", "panel and snapshot"),
+        ("panel = {panel}\nseries_dir = raw\n", "panel and series_dir"),
+    ])
+    def test_two_data_sources(self, tmp_path, sources, named):
+        panel = write(tmp_path, "", name="panel.csv")
+        path = write(tmp_path, "[data]\n" + sources.format(panel=panel))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == f"{path}: [data] {named}: set only one data source"
+
     def test_bad_sample_quarter(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_start"):
             parse_config(write(tmp_path, "[data]\nsample_start = 1967M1\n"))
+
+
+def test_readme_example_parses_and_names_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = parse_config(write(tmp_path, block))
+    assert cfg.snapshot is True and cfg.external == ("mp_shock",)
+    # keys set or shown in a comment line (`; key = value`), per section
+    named, section = {}, None
+    for line in block.splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r";?\s*(\w+) =", line):
+            named.setdefault(section, set()).add(m.group(1))
+    assert named == KNOWN_KEYS
+

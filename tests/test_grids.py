@@ -171,6 +171,12 @@ class TestSummaryAndExport:
         assert sidecar["metadata"] == {"note": "x"}
         assert sidecar["axes"][0]["name"] == "a"
         assert sidecar["summary"]["total_points"] == 81
+        # a header-only CSV reads back as empty columns under the same names
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(open(csv_path).readline())
+        empty = read_grid_csv(header_only)
+        assert list(empty) == list(cols)
+        assert all(col.shape == (0,) for col in empty.values())
 
     def test_export_six_significant_digits(self, tmp_path):
         spec = GridSpec(axes=(AxisSpec("a", 0, 1, 3),), extra_points=((1 / 3,),))
