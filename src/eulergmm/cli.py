@@ -18,16 +18,10 @@ from importlib import metadata
 
 from . import grids, misspec, snapshot
 from .config import ConfigError, RunConfig, parse_config
-from .design import InstrumentSpec, build_design
+from .design import MODELS, InstrumentSpec, build_design
 from .hac import HACConfig
 from .inference import SplitSpec, qll_s_statistics, s_statistics, split_sample_s_statistics
-from .models import (
-    CACParams,
-    ModelKind,
-    SemiStructuralParams,
-    StructuralParams,
-    constants_from_calibration,
-)
+from .models import ModelKind, constants_from_calibration
 from .pipeline import (
     Dataset,
     PipelineError,
@@ -70,18 +64,12 @@ def _dataset(cfg: RunConfig) -> Dataset:
 
 
 def _params(cfg: RunConfig, point) -> object:
+    spec = MODELS[cfg.model]
     point = tuple(float(x) for x in point)
-    if cfg.model is ModelKind.IAC:
-        if len(point) != 3:
-            raise ValueError(f"IAC needs theta0 = rho,kappa,zeta; got {point}")
-        return StructuralParams(*point)
-    if cfg.model is ModelKind.SEMI:
-        if len(point) != 2:
-            raise ValueError(f"SEMI needs theta0 = varphi,phi; got {point}")
-        return SemiStructuralParams(cfg.rho, *point)
-    if len(point) != 3:
-        raise ValueError(f"CAC needs theta0 = rho,sigma,zeta; got {point}")
-    return CACParams(*point)
+    if len(point) != len(spec.free):
+        raise ValueError(f"{cfg.model.value} needs theta0 = {','.join(spec.free)}; got {point}")
+    fixed = {name: getattr(cfg, name) for name in spec.fixed}
+    return spec.params(**fixed, **dict(zip(spec.free, point)))
 
 
 def _build_system(cfg: RunConfig, data: Dataset):

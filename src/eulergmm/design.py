@@ -8,7 +8,8 @@ per-observation moment contribution is f_t = Z_t * (Y_t @ b(theta) - X_t @ d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,16 +31,40 @@ class ResidualSpec:
     min_instrument_lag: int
 
 
-RESIDUAL_SPECS = {
-    ModelKind.IAC: ResidualSpec(ma_order=2, min_instrument_lag=1),
-    ModelKind.SEMI: ResidualSpec(ma_order=2, min_instrument_lag=1),
-    ModelKind.CAC: ResidualSpec(ma_order=2, min_instrument_lag=2),
-}
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model variant: parameters, regressor order, error and coefficient map.
 
-REGRESSOR_ORDERS = {
-    ModelKind.IAC: models.IAC_REGRESSORS,
-    ModelKind.SEMI: models.SEMI_REGRESSORS,
-    ModelKind.CAC: models.CAC_REGRESSORS,
+    `coefficients` and `jacobian` take (params, constants); `fixed` names the
+    parameters a run sets once instead of reading them off a lattice point."""
+
+    params: type
+    regressors: tuple[tuple[str, int], ...]
+    residual: ResidualSpec
+    coefficients: Callable[..., np.ndarray]
+    jacobian: Callable[..., np.ndarray]
+    fixed: tuple[str, ...] = ()
+
+    @cached_property
+    def free(self) -> tuple[str, ...]:
+        """The parameters of a lattice point, in order."""
+        return tuple(f.name for f in fields(self.params) if f.name not in self.fixed)
+
+
+#: The model variants by kind, read by `build_design` and `cli._params`.
+MODELS = {
+    ModelKind.IAC: ModelSpec(
+        models.StructuralParams, models.IAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=1),
+        models.iac_coefficients, models.iac_jacobian),
+    ModelKind.SEMI: ModelSpec(
+        models.SemiStructuralParams, models.IAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=1),
+        models.semi_coefficients, models.semi_jacobian, fixed=("rho",)),
+    ModelKind.CAC: ModelSpec(
+        models.CACParams, models.CAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=2),
+        models.cac_coefficients, models.cac_jacobian),
 }
 
 
@@ -140,20 +165,19 @@ def build_design(
     """
     model = ModelKind(model)
     constants = constants or constants_from_calibration(0.99, 0.025)
-    spec = RESIDUAL_SPECS[model]
-    regressors = REGRESSOR_ORDERS[model]
+    spec = MODELS[model]
 
     for name, lag in instruments.lags:
-        if name in ENDOGENOUS_COLUMNS and lag < spec.min_instrument_lag:
+        if name in ENDOGENOUS_COLUMNS and lag < spec.residual.min_instrument_lag:
             raise ValueError(
                 f"instrument {name}[t-{lag}] violates exogeneity: the {model.value} "
-                f"error is MA({spec.ma_order}) relative to its information set, so "
-                f"endogenous lags must be >= {spec.min_instrument_lag}"
+                f"error is MA({spec.residual.ma_order}) relative to its information set, so "
+                f"endogenous lags must be >= {spec.residual.min_instrument_lag}"
             )
         if lag < 0:
             raise ValueError(f"instrument lag must be >= 0, got {lag} for {name!r}")
 
-    offsets = [off for _, off in regressors] + [-lag for _, lag in instruments.lags]
+    offsets = [off for _, off in spec.regressors] + [-lag for _, lag in instruments.lags]
     max_lead = max(0, max(offsets))
     max_lag = max(0, -min(offsets))
     N = len(data)
@@ -165,7 +189,7 @@ def build_design(
     rows = np.arange(max_lag, N - max_lead)
 
     Y = np.column_stack(
-        [_lagged(data.column(name), off, rows) for name, off in regressors]
+        [_lagged(data.column(name), off, rows) for name, off in spec.regressors]
     )
     X = np.ones((rows.size, 1))
     excluded = [
@@ -173,23 +197,13 @@ def build_design(
     ] + [_lagged(data.column(name), 0, rows) for name in instruments.external]
     Z = np.column_stack([X] + excluded) if excluded else X.copy()
 
-    if model is ModelKind.IAC:
-        coeff = lambda p: models.iac_coefficients(p, constants)  # noqa: E731
-        jac = lambda p: models.iac_jacobian(p, constants)  # noqa: E731
-    elif model is ModelKind.SEMI:
-        coeff = lambda p: models.semi_coefficients(p, constants)  # noqa: E731
-        jac = lambda p: models.semi_jacobian(p, constants)  # noqa: E731
-    else:
-        coeff = lambda p: models.cac_coefficients(p, constants)  # noqa: E731
-        jac = lambda p: models.cac_jacobian(p, constants)  # noqa: E731
-
-    y_labels = [f"{name}[t{off:+d}]" if off else f"{name}[t]" for name, off in regressors]
+    y_labels = [f"{name}[t{off:+d}]" if off else f"{name}[t]" for name, off in spec.regressors]
     return MomentSystem(
         Y=Y,
         X=X,
         Z=Z,
-        coeff=coeff,
-        jacobian=jac,
+        coeff=partial(spec.coefficients, c=constants),
+        jacobian=partial(spec.jacobian, c=constants),
         y_labels=y_labels,
         z_labels=["const"] + instruments.labels(),
         model=model,

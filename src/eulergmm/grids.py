@@ -273,7 +273,9 @@ def read_grid_csv(path: str | os.PathLike) -> dict:
     """Read an exported grid CSV back into column arrays keyed by header name."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{os.fspath(path)}: empty file, no grid CSV header")
         rows = [row for row in reader if row]
     data = np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), len(header))
     return {name: data[:, j] for j, name in enumerate(header)}

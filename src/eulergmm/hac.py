@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -14,11 +15,12 @@ class HACConfig:
     bandwidth: Union[int, str] = "auto"
 
     def __post_init__(self):
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "auto":
-                raise ValueError(f"bandwidth must be 'auto' or an integer, got {self.bandwidth!r}")
-        elif self.bandwidth < 0:
-            raise ValueError(f"bandwidth must be >= 0, got {self.bandwidth}")
+        b = self.bandwidth
+        integer = isinstance(b, numbers.Integral) and not isinstance(b, bool)
+        if not (integer or b == "auto"):
+            raise ValueError(f"bandwidth must be 'auto' or an integer, got {b!r}")
+        if integer and b < 0:
+            raise ValueError(f"bandwidth must be >= 0, got {b}")
 
     def resolve_bandwidth(self, T: int) -> int:
         """`auto` uses the standard rule floor(4 * (T/100)^(2/9))."""

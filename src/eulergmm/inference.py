@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,8 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.first_fraction < 1.0:
             raise ValueError(f"first_fraction must be in (0,1), got {self.first_fraction}")
+        if isinstance(self.gap, bool) or not isinstance(self.gap, numbers.Integral):
+            raise ValueError(f"gap must be an integer, got {self.gap!r}")
         if self.gap < 0:
             raise ValueError(f"gap must be >= 0, got {self.gap}")
 
@@ -56,17 +59,7 @@ class TestResult:
             raise ValueError("accept flag inconsistent with statistic vs critical value")
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "df": self.df,
-            "critical_value": self.critical_value,
-            "level": self.level,
-            "accept": self.accept,
-            "d_hat": self.d_hat,
-            "bandwidth": self.bandwidth,
-            "variant": self.variant,
-            "ridge_flagged": self.ridge_flagged,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -327,17 +320,6 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
     return rows, roots, q
 
 
-def _positive_definite(V: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(V)
-        return np.ones(len(V), bool)
-    except np.linalg.LinAlgError:
-        if len(V) == 1:
-            return np.zeros(1, bool)
-        return np.concatenate([_positive_definite(V[i:i + 1]) for i in range(len(V))])
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     """`minimize_cue` for every coefficient row of B, each step stacked over the rows.
@@ -393,19 +375,16 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     best = np.where(cand_q[pick] < np.inf, cand_t[pick], t0)
 
     # the ridge flag and the error come from the factorization at d_hat; a
-    # row that needs the ridge is solved again with it
+    # row that needs the ridge takes its statistic from that solve
     bb = best[:, None, None]
-    Vb = V0 + bb * (V1 + bb * V2)
-    stat_k, flagged_k = cand_q[pick] / T, np.zeros(len(t), bool)
-    redo = np.flatnonzero(~(stat_k < np.inf) | ~_positive_definite(Vb))
-    singular_k = np.zeros(0, bool)
-    if redo.size:
-        gb = g0[redo] + best[redo, None] * g1
-        xb, flagged_k[redo], singular_k = _solve_spd_rows(Vb[redo], gb[..., None])
-        stat_k[redo] = np.einsum("ni,ni->n", gb, xb[..., 0]) / T
+    gb = g0 + best[:, None] * g1
+    xb, flagged_k, singular_k = _solve_spd_rows(V0 + bb * (V1 + bb * V2), gb[..., None])
+    stat_k = cand_q[pick] / T
+    redo = np.flatnonzero(~(stat_k < np.inf) | flagged_k | singular_k)
+    stat_k[redo] = np.einsum("ni,ni->n", gb[redo], xb[redo, :, 0]) / T
     stat, d_hat, flagged = np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool)
     stat[keep], d_hat[keep], flagged[keep] = stat_k, d1 + best, flagged_k
-    for i in keep[redo[singular_k]]:
+    for i in keep[singular_k]:
         errors[i] = SingularCovarianceError(
             f"HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
         )
@@ -432,23 +411,37 @@ def minimize_cue(
     return float(stat[0]), float(d_hat[0]), bool(flagged[0])
 
 
+def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
+    """(B, J, errors): the coefficient row of every point, and its Jacobian if asked.
+
+    A point is a model parameter point or, when no Jacobian is asked for, its
+    coefficient vector b as an array. A point whose map fails carries its
+    exception in `errors`, a NaN row in B and None in J.
+    """
+    n = len(thetas)
+    B, J, errors = np.full((n, sys.Y.shape[1]), np.nan), [None] * n, [None] * n
+    for i, theta in enumerate(thetas):
+        try:
+            if jacobian and isinstance(theta, np.ndarray):
+                raise ValueError("split-sample S needs model parameters, not a coefficient vector")
+            B[i] = theta if isinstance(theta, np.ndarray) else sys.coeff(theta)
+            if jacobian:
+                J[i] = np.asarray(sys.jacobian(theta), dtype=float)
+        except Exception as exc:  # recorded on its own row
+            errors[i] = exc
+    return B, J, errors
+
+
 def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     """(B, stat, d_hat, flagged, errors): coefficient rows and CUE minima of the points.
 
-    A point is a model parameter point, or its coefficient vector b as an array.
     A point whose coefficient map or minimisation fails carries its exception
     in `errors` and NaN elsewhere; the other points are unaffected. (A failed
     map leaves a NaN row, which the minimisation records as singular; the
     map's own error is the one kept.)
     """
-    n = len(thetas)
-    B = np.full((n, sys.Y.shape[1]), np.nan)
-    errors: list = [None] * n
-    for i, theta in enumerate(thetas):
-        try:
-            B[i] = theta if isinstance(theta, np.ndarray) else sys.coeff(theta)
-        except Exception as exc:  # recorded on its own row
-            errors[i] = exc
+    B, _, errors = _coefficients(thetas, sys)
+    n = len(B)
     stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
     kern = cue_kernel(sys, cfg)
     for lo in range(0, n, BATCH_CHUNK):
@@ -458,14 +451,26 @@ def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     return B, stat, d_hat, flagged, errors
 
 
-def _outcomes(errors: list, make: Callable[[int], TestResult]) -> list:
-    """make(i) for each row without an error; otherwise the row's error or make's."""
-    out = []
+def _results(errors: list, variant: str, stat, df, crit, level: float, bandwidth: int,
+             d_hat, flagged) -> list:
+    """The TestResult of every row without an error, else the row's error or the
+    ValueError its TestResult raised. `df` and `crit` are one value or one per
+    row; `d_hat` is None for a statistic that does not concentrate out d."""
+    n = len(errors)
+    df, crit = (a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in (df, crit))
+    stat, flagged = stat.tolist(), flagged.tolist()
+    d_hat = [None] * n if d_hat is None else d_hat.tolist()
+    out = list(errors)
     for i, err in enumerate(errors):
-        try:
-            out.append(make(i) if err is None else err)
-        except ValueError as exc:
-            out.append(exc)
+        if err is None:
+            try:
+                out[i] = TestResult(
+                    statistic=stat[i], df=df[i], critical_value=crit[i], level=level,
+                    accept=stat[i] <= crit[i], d_hat=d_hat[i], bandwidth=bandwidth,
+                    variant=variant, ridge_flagged=flagged[i],
+                )
+            except ValueError as exc:
+                out[i] = exc
     return out
 
 
@@ -495,18 +500,8 @@ def s_statistics(
     _require_overidentified(sys)
     _, stat, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
     crit = chi2_quantile(sys.df, level)
-    bandwidth = cfg.resolve_bandwidth(sys.T)
-    return _outcomes(errors, lambda i: TestResult(
-        statistic=float(stat[i]),
-        df=sys.df,
-        critical_value=crit,
-        level=level,
-        accept=bool(stat[i] <= crit),
-        d_hat=float(d_hat[i]),
-        bandwidth=bandwidth,
-        variant="S",
-        ridge_flagged=bool(flagged[i]),
-    ))
+    return _results(errors, "S", stat, sys.df, crit, level, cfg.resolve_bandwidth(sys.T),
+                    d_hat, flagged)
 
 
 def s_statistic(
@@ -594,29 +589,12 @@ def qll_s_statistics(
     ok = np.flatnonzero([e is None for e in errors])
     comps = np.full(len(errors), np.nan)
     comps[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
-    crit = QLL_CRITICAL_VALUES[key]
-    bandwidth = cfg.resolve_bandwidth(sys.T)
-
-    def make(i: int) -> TestResult:
-        comp = float(comps[i])
-        if not np.isfinite(comp):
-            raise SingularCovarianceError(
-                f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
-            )
-        stat = (10.0 / 11.0) * float(s[i]) + comp
-        return TestResult(
-            statistic=stat,
-            df=sys.df,
-            critical_value=crit,
-            level=level,
-            accept=stat <= crit,
-            d_hat=float(d_hat[i]),
-            bandwidth=bandwidth,
-            variant="qLL-S(sup-split)",
-            ridge_flagged=bool(flagged[i]),
+    for i in ok[~np.isfinite(comps[ok])]:
+        errors[i] = SingularCovarianceError(
+            f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
         )
-
-    return _outcomes(errors, make)
+    return _results(errors, "qLL-S(sup-split)", (10.0 / 11.0) * s + comps, sys.df,
+                    QLL_CRITICAL_VALUES[key], level, cfg.resolve_bandwidth(sys.T), d_hat, flagged)
 
 
 def qll_s_statistic(
@@ -660,20 +638,7 @@ def split_sample_s_statistics(
             f"subsamples too short: T1={T1}, T2={T2}, need >= {sys.k_z + 1} each"
         )
 
-    n = len(thetas)
-    B, J = np.full((n, sys.Y.shape[1]), np.nan), [None] * n
-    errors: list = [None] * n
-    for i, theta in enumerate(thetas):
-        try:
-            if isinstance(theta, np.ndarray):
-                raise ValueError(
-                    "split-sample S needs model parameters, not a coefficient vector"
-                )
-            B[i] = sys.coeff(theta)
-            J[i] = np.asarray(sys.jacobian(theta), dtype=float)
-        except Exception as exc:  # recorded on its own row
-            errors[i] = exc
-
+    B, J, errors = _coefficients(thetas, sys, jacobian=True)
     Ybar = sys.Y - sys.Y.mean(axis=0)
     Zex = sys.Z[:, 1:]  # drop the constant
     Zbar = Zex - Zex.mean(axis=0)
@@ -685,7 +650,7 @@ def split_sample_s_statistics(
     Q2, Y2 = Zbar[start2:] @ P1, Ybar[start2:]
 
     ok = np.flatnonzero([e is None for e in errors])
-    stat, flagged = np.full(n, np.nan), np.zeros(n, bool)
+    stat, flagged = np.full(len(B), np.nan), np.zeros(len(B), bool)
     for lo in range(0, ok.size, BATCH_CHUNK):
         rows = ok[lo:lo + BATCH_CHUNK]
         v = (Q2 @ np.array([J[i] for i in rows])) * (Y2 @ B[rows, :, None])  # N x T2 x n_p
@@ -696,24 +661,10 @@ def split_sample_s_statistics(
             errors[i] = SingularCovarianceError(
                 "HAC covariance singular even after ridge (split-sample Omega)"
             )
-    bandwidth = cfg.resolve_bandwidth(T2)
-
-    def make(i: int) -> TestResult:
-        n_p = J[i].shape[1]
-        crit = chi2_quantile(n_p, level)
-        return TestResult(
-            statistic=float(stat[i]),
-            df=n_p,
-            critical_value=crit,
-            level=level,
-            accept=bool(stat[i] <= crit),
-            d_hat=None,
-            bandwidth=bandwidth,
-            variant="split-S",
-            ridge_flagged=bool(flagged[i]),
-        )
-
-    return _outcomes(errors, make)
+    df = np.array([0 if j is None else j.shape[1] for j in J])
+    crit = np.array([chi2_quantile(n_p, level) if n_p else np.nan for n_p in df])
+    return _results(errors, "split-S", stat, df, crit, level, cfg.resolve_bandwidth(T2),
+                    None, flagged)
 
 
 def split_sample_s_statistic(

@@ -91,7 +91,6 @@ IAC_REGRESSORS = (
     ("u", 0),
     ("u", +1),
 )
-SEMI_REGRESSORS = IAC_REGRESSORS
 CAC_REGRESSORS = (
     ("delta_i", 0),
     ("delta_i", -1),

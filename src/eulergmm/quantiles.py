@@ -5,8 +5,8 @@ the regularized upper incomplete gamma function. Q comes from its power series
 (through the lower tail P = 1 - Q) when `y < a + 1`, and from a modified-Lentz
 continued fraction otherwise. Halley steps start from the Wilson-Hilferty
 approximation, and the residual is taken on whichever tail is below one half,
-so the Bonferroni levels `1 - a/(2m)` keep full relative accuracy. Only `math`
-is used. The tests check it against `scipy.stats.chi2.ppf` to 1e-12 relative
+so the Bonferroni levels `1 - a/(2m)` keep full relative accuracy. Only the
+standard library is used. The tests check it against `scipy.stats.chi2.ppf` to 1e-12 relative
 for df 1-60 at levels 0.01 to 1 - 0.01/14 and at every level behind
 `inference.QLL_CRITICAL_VALUES`; the largest error there is 5.3e-15.
 """
@@ -14,6 +14,8 @@ for df 1-60 at levels 0.01 to 1 - 0.01/14 and at every level behind
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from functools import lru_cache
 
 _EPS = 1e-16
@@ -91,8 +93,8 @@ def _upper_inverse(df: int, q: float) -> float:
 
 def chi2_quantile(df: int, level: float) -> float:
     """Inverse CDF of the chi-squared distribution at `level`, memoised per (df, level)."""
-    if not isinstance(df, (int,)) or df < 1:
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral) or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    return _upper_inverse(df, 1.0 - level)
+    return _upper_inverse(operator.index(df), 1.0 - level)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eulergmm import snapshot
-from eulergmm.cli import build_parser, main
+from eulergmm.cli import _DEFAULT_GRIDS, build_parser, main
+from eulergmm.design import MODELS
+from eulergmm.models import ModelKind
 from eulergmm.pipeline import read_panel_csv
 
 
@@ -129,12 +131,21 @@ class TestEstimate:
         assert "theta0" in capsys.readouterr().err
 
     def test_wrong_theta0_arity(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, "[data]\nsnapshot = true\n[inference]\ntheta0 = 0.3, 5.0\n"
-        )
-        rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "rho,kappa,zeta" in capsys.readouterr().err
+        for kind, lags, theta0, message in (
+            ("IAC", "delta_i:1, r_p:2, u:1", "0.3, 5.0",
+             "IAC needs theta0 = rho,kappa,zeta; got (0.3, 5.0)"),
+            ("SEMI", "delta_i:1, r_p:2, u:1", "0.3, 5.0, 1.0",
+             "SEMI needs theta0 = varphi,phi; got (0.3, 5.0, 1.0)"),
+            ("CAC", "delta_i:2, r_p:3, u:2", "0.3, 5.0",
+             "CAC needs theta0 = rho,sigma,zeta; got (0.3, 5.0)"),
+        ):
+            cfg = write_config(
+                tmp_path, f"[data]\nsnapshot = true\n[model]\nkind = {kind}\n"
+                f"[instruments]\nlags = {lags}\n[inference]\ntheta0 = {theta0}\n"
+            )
+            rc = main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["estimate", "--config", str(tmp_path / "nope.ini")])
@@ -189,6 +200,11 @@ class TestGrid:
         assert main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         header = (tmp_path / "o" / "grid.csv").read_text().splitlines()[0]
         assert header == "rho,sigma,zeta,stat,df,crit,accept,error"
+
+    def test_default_lattice_axes_are_model_parameters(self):
+        # a lattice axis names the parameter a point's coordinate is read into
+        for kind in ModelKind:
+            assert _DEFAULT_GRIDS[kind]().names == list(MODELS[kind].free)
 
     def test_point_count_must_match_axes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[data]\nsnapshot = true\n[grid]\npoints = 2, 2\n")

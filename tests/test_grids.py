@@ -177,6 +177,11 @@ class TestSummaryAndExport:
         empty = read_grid_csv(header_only)
         assert list(empty) == list(cols)
         assert all(col.shape == (0,) for col in empty.values())
+        # a zero-byte file has no header to name the columns
+        zero = tmp_path / "zero.csv"
+        zero.write_text("")
+        with pytest.raises(ValueError, match="zero.csv: empty file"):
+            read_grid_csv(zero)
 
     def test_export_six_significant_digits(self, tmp_path):
         spec = GridSpec(axes=(AxisSpec("a", 0, 1, 3),), extra_points=((1 / 3,),))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +15,17 @@ class TestConfig:
 
     def test_fixed(self):
         assert HACConfig(bandwidth=7).resolve_bandwidth(100) == 7
+        assert HACConfig(bandwidth=np.int64(7)).resolve_bandwidth(100) == 7
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             HACConfig(bandwidth=-1)
         with pytest.raises(ValueError):
             HACConfig(bandwidth="automatic")
+        # a bandwidth is a lag count: no float or bool stands in for one
+        for bad in (2.5, 2.0, True, float("nan"), np.float64(3.0), np.True_):
+            with pytest.raises(ValueError, match=re.escape(f"integer, got {bad!r}")):
+                HACConfig(bandwidth=bad)
         with pytest.raises(TypeError, match="unexpected keyword"):
             HACConfig(kernel="bartlett")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,10 @@ class TestSplitSampleStatistic:
             SplitSpec(first_fraction=0.0)
         with pytest.raises(ValueError):
             SplitSpec(gap=-1)
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"gap must be an integer, got {bad!r}")):
+                SplitSpec(gap=bad)
+        assert SplitSpec(gap=np.int64(2)).gap == 2
 
 
 class TestFirstStageDiagnostics:

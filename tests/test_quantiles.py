@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -44,10 +45,17 @@ class TestChi2Quantile:
         values = [chi2_quantile(4, p) for p in levels]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("df,level", [(0, 0.9), (-1, 0.9), (3, 0.0), (3, 1.0), (2.5, 0.9)])
+    @pytest.mark.parametrize("df,level", [
+        (0, 0.9), (-1, 0.9), (3, 0.0), (3, 1.0), (2.5, 0.9), (True, 0.9), (np.int64(0), 0.9),
+    ])
     def test_invalid_inputs(self, df, level):
         with pytest.raises(ValueError):
             chi2_quantile(df, level)
+
+    def test_numpy_integer_df(self):
+        # a per-point df read off an array is a numpy integer
+        for df in (np.int64(3), np.int32(1), np.uint8(12)):
+            assert chi2_quantile(df, 0.9) == chi2_quantile(int(df), 0.9)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
