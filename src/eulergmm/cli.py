@@ -14,9 +14,8 @@ import dataclasses
 import json
 import os
 import sys
-from importlib import metadata
 
-from . import grids, misspec, snapshot
+from . import __version__, grids, snapshot
 from .config import ConfigError, RunConfig, parse_config
 from .design import MODELS, InstrumentSpec, build_design
 from .hac import HACConfig
@@ -31,13 +30,6 @@ from .pipeline import (
     transform_raw,
     write_panel_csv,
 )
-
-
-def _version() -> str:
-    try:
-        return metadata.version("eulergmm")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _transform_spec(cfg: RunConfig) -> TransformSpec:
@@ -168,16 +160,17 @@ def cmd_grid(cfg: RunConfig, out_dir: str) -> int:
     )
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path = grids.export_grid(result, os.path.join(out_dir, "grid"))
-    summary = grids.set_summary(result)
+    accepted, total = int(result.accepts.sum()), len(result.accepts)
     print(
-        f"wrote {csv_path} and {json_path}: accepted "
-        f"{summary['accepted_points']}/{summary['total_points']} "
-        f"({summary['accepted_fraction']:.1%}) at level {cfg.level}"
+        f"wrote {csv_path} and {json_path}: accepted {accepted}/{total} "
+        f"({accepted / total:.1%}) at level {cfg.level}"
     )
     return 0
 
 
 def cmd_misspec(args: argparse.Namespace) -> int:
+    from . import misspec  # only this command needs it; `eulergmm grid` starts without it
+
     cfg = misspec.MisspecConfig(
         gamma=args.gamma,
         zeta_true=args.zeta,
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eulergmm",
         description="Weak-identification-robust GMM inference for investment Euler equations",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, help_ in (

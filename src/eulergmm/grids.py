@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -225,8 +226,13 @@ def set_summary(g: ConfidenceGrid) -> dict:
     return summary
 
 
-def _fmt(x: float) -> str:
-    return "nan" if not np.isfinite(x) else f"{x:.6g}"
+def _fmt(column: np.ndarray) -> list[str]:
+    """A float column's cells: 6 significant digits, `nan` for any non-finite value."""
+    return [f"{x:.6g}" if math.isfinite(x) else "nan" for x in column.tolist()]
+
+
+def _ints(column: np.ndarray) -> list[str]:
+    return [str(int(x)) for x in column.tolist()]
 
 
 def export_grid(g: ConfidenceGrid, path: str | os.PathLike) -> tuple[str, str]:
@@ -239,12 +245,9 @@ def export_grid(g: ConfidenceGrid, path: str | os.PathLike) -> tuple[str, str]:
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(g.spec.names + ["stat", "df", "crit", "accept", "error"])
-        for i in range(g.points.shape[0]):
-            writer.writerow(
-                [_fmt(x) for x in g.points[i]]
-                + [_fmt(g.stats[i]), str(int(g.dfs[i])), _fmt(g.crits[i]),
-                   str(int(g.accepts[i])), str(int(g.errors[i]))]
-            )
+        columns = [_fmt(g.points[:, j]) for j in range(g.points.shape[1])]
+        columns += [_fmt(g.stats), _ints(g.dfs), _fmt(g.crits), _ints(g.accepts), _ints(g.errors)]
+        writer.writerows(zip(*columns))
     sidecar = {
         "level": g.level,
         "variant": g.variant,

@@ -295,7 +295,7 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
         xd = sol[..., 1] - (sol[..., 2:] @ sol[..., :1])[..., 0]
         x = sol[..., 0]
         slope = np.einsum("mi,mi->m", x, g1 + h)
-        curve = 2.0 * (np.einsum("mi,mi->m", xd, h) - np.einsum("mi,ij,mj->m", x, V2, x))
+        curve = 2.0 * (np.einsum("mi,mi->m", xd, h) - ((x[:, None] @ V2)[:, 0] * x).sum(-1))
         neg = slope < 0.0
         lo, hi = np.where(neg, r, lo), np.where(neg, hi, r)
         dt = slope / curve
@@ -357,12 +357,18 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     if keep.size < N:
         g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
     t = t0[:, None] + se[:, None] * _SCAN
-    tt = t[..., None, None]
-    g = g0[:, None] + t[..., None] * g1
-    x = _solve(V0[:, None] + tt * (V1[:, None] + tt * V2), g[..., None])[..., 0]
+    # every node's [V(t) | g(t)] in one product per row: [1, t, t^2] @ [V0 | g0; V1 | g1; V2 | 0]
+    n, k = g0.shape
+    forms = np.zeros((n, 3, k, k + 1))
+    forms[:, 0, :, :k], forms[:, 0, :, k] = V0, g0
+    forms[:, 1, :, :k], forms[:, 1, :, k] = V1, g1
+    forms[:, 2, :, :k] = V2
+    powers = np.stack([np.ones_like(t), t, t * t], axis=-1)
+    VG = (powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k + 1))
+    g = VG[..., k]
+    x = _solve(VG[..., :k], VG[..., k:])[..., 0]
     q = np.einsum("nsi,nsi->ns", g, x)
-    s = (2.0 * x @ g1 - np.einsum("nsi,nij,nsj->ns", x, V1, x)
-         - 2.0 * t * np.einsum("nsi,ij,nsj->ns", x, V2, x))
+    s = 2.0 * x @ g1 - ((x @ V1) * x).sum(-1) - 2.0 * t * ((x @ V2) * x).sum(-1)
     rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)
     # candidates in the order both ends, then the roots, so ties keep the first
     ar = np.arange(len(t))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import eulergmm
 from eulergmm import snapshot
 from eulergmm.cli import _DEFAULT_GRIDS, build_parser, main
 from eulergmm.design import MODELS
@@ -270,10 +272,15 @@ class TestReport:
 
 class TestParser:
     def test_version_flag(self, capsys):
+        # the package's own version, also from a source checkout that was never installed
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "eulergmm" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"eulergmm {eulergmm.__version__}\n"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+        assert declared.group(1) == eulergmm.__version__
 
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):

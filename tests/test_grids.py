@@ -5,6 +5,7 @@ import pytest
 
 from eulergmm.grids import (
     AxisSpec,
+    ConfidenceGrid,
     GridSpec,
     default_semi_grid,
     default_structural_grid,
@@ -189,3 +190,27 @@ class TestSummaryAndExport:
         csv_path, _ = export_grid(g, tmp_path / "g")
         text = open(csv_path).read()
         assert "0.333333" in text and "0.3333333" not in text
+
+    def test_export_cell_formatting(self, tmp_path):
+        # every non-finite float is written nan; integer columns as integers
+        nan, inf = float("nan"), float("inf")
+        g = ConfidenceGrid(
+            spec=GridSpec(axes=(AxisSpec("a", 0, 1, 2), AxisSpec("b", 0, 1, 2))),
+            level=0.90,
+            points=np.array([[-0.0, 1e-05], [1234567.0, 0.25], [0.5, 2.0], [1.0, 3.0]]),
+            stats=np.array([nan, inf, -inf, -0.0]),
+            dfs=np.array([0, 2, 3, 12]),
+            crits=np.array([1e-05, 1234567.0, 4.60517, nan]),
+            accepts=np.array([0, 1, 0, 1]),
+            errors=np.array([1, 0, 0, 0]),
+        )
+        csv_path, _ = export_grid(g, tmp_path / "cells")
+        with open(csv_path, newline="") as fh:
+            assert fh.read().split("\r\n") == [
+                "a,b,stat,df,crit,accept,error",
+                "-0,1e-05,nan,0,1e-05,0,1",
+                "1.23457e+06,0.25,nan,2,1.23457e+06,1,0",
+                "0.5,2,nan,3,4.60517,0,0",
+                "1,3,-0,12,nan,1,0",
+                "",
+            ]
