@@ -357,16 +357,15 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     if keep.size < N:
         g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
     t = t0[:, None] + se[:, None] * _SCAN
-    # every node's [V(t) | g(t)] in one product per row: [1, t, t^2] @ [V0 | g0; V1 | g1; V2 | 0]
+    # every node's V(t) and g(t) in one product per row each:
+    # [1, t, t^2] @ [V0; V1; V2] and [1, t] @ [g0; g1]
     n, k = g0.shape
-    forms = np.zeros((n, 3, k, k + 1))
-    forms[:, 0, :, :k], forms[:, 0, :, k] = V0, g0
-    forms[:, 1, :, :k], forms[:, 1, :, k] = V1, g1
-    forms[:, 2, :, :k] = V2
     powers = np.stack([np.ones_like(t), t, t * t], axis=-1)
-    VG = (powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k + 1))
-    g = VG[..., k]
-    x = _solve(VG[..., :k], VG[..., k:])[..., 0]
+    forms, g_forms = np.empty((n, 3, k, k)), np.empty((n, 2, k))
+    forms[:, 0], forms[:, 1], forms[:, 2] = V0, V1, V2
+    g_forms[:, 0], g_forms[:, 1] = g0, g1
+    g = powers[..., :2] @ g_forms
+    x = _solve((powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k)), g[..., None])[..., 0]
     q = np.einsum("nsi,nsi->ns", g, x)
     s = 2.0 * x @ g1 - ((x @ V1) * x).sum(-1) - 2.0 * t * ((x @ V2) * x).sum(-1)
     rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)

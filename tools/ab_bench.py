@@ -1,18 +1,17 @@
 """Alternating parent/change pairs of the benchmark, and each metric's verdict.
 
     python3 tools/ab_bench.py --parent DIR --change DIR --workload NAME --pairs N
-                              [--seconds S] [--seed N] [--out FILE]
 
 DIR is the root of a checkout. Pair i runs `perfbench/run.py --trace 0` on
 both checkouts, each with its own benchmark files, the parent first in even
-pairs and the change first in odd ones, with seed `--seed + i` on both sides.
-For every end-to-end metric of the parent's BENCHMARK.json it prints each
-side's median and quartiles over the pairs, the change's wins, the parent's
-wins and the ties, and whether the change counts as a gain: it wins at least
-nine tenths of the pairs, and the medians differ by more than the distance
-between the parent's quartiles. `--out` also writes every run's summary as
-JSON. A run that is not correct or that counts failed operations is reported,
-and the script exits 1.
+pairs and the change first in odd ones, with seed i on both sides and the
+run length `run_seconds` of the parent's BENCHMARK.json. For every
+end-to-end metric of that file it prints each side's median and quartiles
+over the pairs, the change's wins, the parent's wins and the ties, and
+whether the change counts as a gain: it wins at least nine tenths of the
+pairs, and the medians differ by more than the distance between the
+parent's quartiles. A run that is not correct or that counts failed
+operations is reported, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ def main() -> int:
     p.add_argument("--change", required=True, help="root of the changed checkout")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="length of one run (default: run_seconds of BENCHMARK.json)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write every run's summary here as JSON")
     args = p.parse_args()
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -86,13 +81,13 @@ def main() -> int:
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(roots[side], args.workload, args.seed + i, seconds))
+            runs[side].append(run_once(roots[side], args.workload, i, seconds))
         line = ", ".join(
             f"{side} {runs[side][-1]['metrics']['evals_per_s']['value']:.1f} evals/s"
             for side in order)
@@ -112,10 +107,6 @@ def main() -> int:
            if not r["correct"] or r["failed"]]
     for msg in bad:
         print(f"  not clean: {msg}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"workload": args.workload, "seconds": seconds, "roots": roots,
-                       "runs": runs, "verdicts": rows}, fh, indent=1)
     return 1 if bad else 0
 
 
