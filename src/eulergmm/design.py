@@ -114,9 +114,12 @@ class MomentSystem:
     z_labels: list[str]
     model: ModelKind = ModelKind.IAC
     constants: Optional[CalibratedConstants] = None
-    #: CUE kernels of this design, keyed by their row samples and bandwidths;
-    #: filled by `inference.cue_kernel`, so Y, X and Z must not change after use.
+    #: CUE kernels of this design, keyed by their row samples and bandwidths,
+    #: and the qLL-S breakpoint kernel also by ("qLL", HAC config); filled by
+    #: `inference.cue_kernel`, so Y, X and Z must not change after use.
     cue_kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The rows that every CUE kernel reads (`inference.CUERows`), made once.
+    cue_rows: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = self.Y.shape[0]

@@ -26,6 +26,10 @@ class AxisSpec:
     include_upper: bool = True
 
     def __post_init__(self):
+        for end in ("lower", "upper"):
+            if not math.isfinite(getattr(self, end)):
+                raise ValueError(f"axis {self.name!r} {end} bound is not finite: "
+                                 f"{getattr(self, end)!r}")
         if self.points < 2:
             raise ValueError(f"axis {self.name!r} needs >= 2 points, got {self.points}")
         if self.upper <= self.lower:
@@ -53,6 +57,8 @@ class GridSpec:
                 raise ValueError(
                     f"extra point {p} has {len(p)} coordinates, expected {len(self.axes)}"
                 )
+            if not all(math.isfinite(x) for x in p):
+                raise ValueError(f"extra point {p} has a non-finite coordinate")
 
     @property
     def names(self) -> list[str]:

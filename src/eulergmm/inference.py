@@ -124,16 +124,49 @@ def _solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CUERows:
+    """A system's rows, factored once and read by every CUE kernel of the system.
+
+    [-X | Y] = U R is a thin QR of the whole sample, the constant first, and M
+    holds the moment rows Z_ti U_tp, T x Pk with column p k + i.
+    """
+
+    Z: np.ndarray
+    X: np.ndarray
+    R: np.ndarray
+    M: np.ndarray
+
+    @classmethod
+    def of(cls, sys: MomentSystem) -> "CUERows":
+        """The rows of `sys`, cached on it."""
+        if sys.cue_rows is None:
+            U, R = np.linalg.qr(np.column_stack([-sys.X, sys.Y]))
+            M = (U[:, :, None] * sys.Z[:, None, :]).reshape(sys.T, -1)
+            sys.cue_rows = cls(Z=sys.Z, X=sys.X, R=R, M=M)
+        return sys.cue_rows
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """(Z'Z)^-1 Z'X over the whole sample, the first step of the two-step seed."""
+        Z = self.Z
+        ZX = Z.T @ self.X[:, 0]
+        try:
+            return np.linalg.solve(Z.T @ Z / len(Z), ZX)
+        except np.linalg.LinAlgError:
+            return np.linalg.pinv(Z.T @ Z / len(Z)) @ ZX
+
+
+@dataclass(frozen=True)
 class CUEKernel:
     """The CUE moments and their Bartlett HAC on row samples, as forms in (b, d).
 
     With A = [-X | Y] and c = (d, b), the residual is A c and the moment row is
-    f_t = Z_t (A_t c). A is held as U R with orthonormal columns U (thin QR of
-    the whole sample, the constant first), so that with u = R c a sample's
-    moment sum is g = G u, G = Z'U over its rows, and the HAC of its demeaned
-    rows is V = sum_pq u_p u_q H_pq, where H is the HAC of the sample's
-    demeaned stacked columns Z_i U_p (kP x kP, held as P x n x k x P x k for
-    n samples). Since |A c| = |u| and the residual's mean sits in u_0 alone,
+    f_t = Z_t (A_t c). A is held as U R with orthonormal columns U (the
+    system's `CUERows`), so that with u = R c a sample's moment sum is
+    g = G u, G = Z'U over its rows, and the HAC of its demeaned rows is
+    V = sum_pq u_p u_q H_pq, where H is the HAC of the sample's demeaned
+    stacked columns Z_i U_p (kP x kP, held as P x n x k x P x k for n
+    samples). Since |A c| = |u| and the residual's mean sits in u_0 alone,
     the sum cancels no more than the residual itself does. For fixed b, V(d)
     is quadratic and g(d) linear in d: k x k algebra per trial d, with no pass
     over the rows. The methods take coefficient rows b (... x m) with d (...),
@@ -141,34 +174,55 @@ class CUEKernel:
     stacked matrix products (`u[..., None, :] @ ...`), one per row: a 2-D
     product would let BLAS round a row differently with the batch's size, and
     a row's numbers must not depend on the rest of its batch.
+
+    Every sample's H comes from one pass over the rows: each sample's rows
+    of M are demeaned on their own and written, in place, into a T-row slab
+    of zeros; the slabs of all samples that share a bandwidth (resolved from
+    the sample's length) go through one stacked `hac_variance`, which is
+    then rescaled from 1/T to 1/(the sample's length). A zero row adds
+    nothing to any lag product of a contiguous sample, so each H is the HAC
+    of that sample alone; for the whole sample the slab is the demeaned M
+    and the scale is exactly 1.
     """
 
+    rows: CUERows
     T: np.ndarray
-    R: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    #: (Z'Z)^-1 Z'X over the whole sample, the first step of the two-step seed.
-    w: np.ndarray
 
     @classmethod
     def build(cls, sys: MomentSystem, cfg: HACConfig, samples: tuple[slice, ...]) -> "CUEKernel":
         """Each sample's rows are demeaned and its bandwidth resolved on its own."""
-        Z, X = sys.Z, sys.X
-        T, k = Z.shape
-        U, R = np.linalg.qr(np.column_stack([-X, sys.Y]))
-        P, n = R.shape[0], len(samples)
-        M = (U[:, :, None] * Z[:, None, :]).reshape(T, P * k)
-        H = np.stack([hac_variance(M[s] - M[s].mean(axis=0), cfg) for s in samples])
-        G = np.stack([M[s].sum(axis=0).reshape(P, k).T for s in samples])
-        ZX = Z.T @ X[:, 0]
-        try:
-            w = np.linalg.solve(Z.T @ Z / T, ZX)
-        except np.linalg.LinAlgError:
-            w = np.linalg.pinv(Z.T @ Z / T) @ ZX
+        rows = CUERows.of(sys)
+        M, P = rows.M, rows.R.shape[0]
+        (T, Pk), n = M.shape, len(samples)
+        lengths = np.array([s.stop - s.start for s in samples])
+        lags = [cfg.resolve_bandwidth(L) for L in lengths.tolist()]
+        for B, L in zip(lags, lengths.tolist()):
+            if B >= L:
+                raise ValueError(f"bandwidth {B} must be < T={L}")
+        # sample sums as differences of prefix sums: the whole sample's is the
+        # last prefix sum, which adds the rows in the order M.sum(axis=0) does
+        C = np.zeros((T + 1, Pk))
+        np.cumsum(M, axis=0, out=C[1:])
+        sums = C[[s.stop for s in samples]] - C[[s.start for s in samples]]
+        means = sums / lengths[:, None]
+        H = np.empty((n, Pk, Pk))
+        for B in set(lags):
+            same = [i for i in range(n) if lags[i] == B]
+            slabs = np.zeros((len(same), T, Pk))
+            for slab, i in zip(slabs, same):
+                np.subtract(M[samples[i]], means[i], out=slab[samples[i]])
+            H[same] = hac_variance(slabs, HACConfig(B)) * (T / lengths[same])[:, None, None]
+        k = Pk // P
         return cls(
-            T=np.array([s.stop - s.start for s in samples]), R=R, G=G,
-            H=np.ascontiguousarray(H.reshape(n, P, k, P, k).transpose(1, 0, 2, 3, 4)), w=w,
+            rows=rows, T=lengths, G=sums.reshape(n, P, k).swapaxes(1, 2),
+            H=np.ascontiguousarray(H.reshape(n, P, k, P, k).transpose(1, 0, 2, 3, 4)),
         )
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.rows.R
 
     @cached_property
     def g1(self) -> np.ndarray:
@@ -185,8 +239,9 @@ class CUEKernel:
     def seed(self) -> np.ndarray:
         """The seed's first step as a map of b, d1 = b . seed: the whole
         sample's moments weighed by (Z'Z)^-1."""
+        w = self.rows.w
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self.G[0] @ self.R[:, 1:]).T @ self.w / -(self.w @ self.g1[0])
+            return (self.G[0] @ self.R[:, 1:]).T @ w / -(w @ self.g1[0])
 
     def _partial_u(self, u: np.ndarray) -> np.ndarray:
         """sum_p u_p H_pq of every sample, for rows u (... x P): ... x n x k x P x k."""
@@ -546,6 +601,21 @@ def _populate_qll_table() -> None:
 _populate_qll_table()
 
 
+def _breakpoint_kernel(sys: MomentSystem, cfg: HACConfig) -> Optional[CUEKernel]:
+    """The CUE kernel of both sides of every breakpoint, None if no breakpoint
+    leaves more than k_z rows on each side; laid out once per system and `cfg`."""
+    key = ("qLL", cfg)
+    if key not in sys.cue_kernels:
+        T = sys.T
+        taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
+        samples = tuple(
+            part for tau in taus if sys.k_z < tau < T - sys.k_z
+            for part in (slice(0, tau), slice(tau, T))
+        )
+        sys.cue_kernels[key] = cue_kernel(sys, cfg, samples) if samples else None
+    return sys.cue_kernels[key]
+
+
 def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     """Subsample-instability component: sup over breakpoints of S_pre + S_post.
 
@@ -556,16 +626,10 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     d_hat (N,) it returns one component per row, BATCH_CHUNK rows at a time;
     a row is NaN where a subsample covariance is singular even after the ridge.
     """
-    T = sys.T
-    taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
-    samples = tuple(
-        part for tau in taus if sys.k_z < tau < T - sys.k_z
-        for part in (slice(0, tau), slice(tau, T))
-    )
     B, d = np.atleast_2d(np.asarray(b, dtype=float)), np.atleast_1d(np.asarray(d_hat, float))
     out = np.zeros(len(B))
-    if samples:
-        kern = cue_kernel(sys, cfg, samples)
+    kern = _breakpoint_kernel(sys, cfg)
+    if kern is not None:
         for lo in range(0, len(B), BATCH_CHUNK):
             part = slice(lo, lo + BATCH_CHUNK)
             sides = kern.objectives(B[part], d[part])  # (breakpoint, side) x row

@@ -7,16 +7,30 @@ fallbacks. `dense_minimum` is an independent global search: a dense scan of a
 wide d interval with the HAC rebuilt at every node, then a root search of the
 analytic slope next to the best node. `qll_s` is the qLL-S statistic at the
 dense minimum, from row slices of the system.
+
+`build_kernel` is the library's earlier kernel build: a QR of its own per
+kernel and one `hac_variance` per row sample. `qll_s_statistic` is the
+library's qLL-S with every kernel from that build.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from unittest import mock
 
 import numpy as np
 from scipy import optimize
 
 from eulergmm.design import MomentSystem, residuals_and_moments
 from eulergmm.hac import HACConfig, hac_variance
-from eulergmm.inference import QLL_BREAK_FRACTIONS, _solve_spd
+from eulergmm.inference import (
+    QLL_BREAK_FRACTIONS,
+    CUEKernel,
+    CUERows,
+    TestResult,
+    _solve_spd,
+    qll_s_statistic as library_qll_s_statistic,
+)
 
 
 def direct_moments(sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig):
@@ -123,3 +137,25 @@ def qll_s(sys: MomentSystem, b: np.ndarray, cfg: HACConfig, d: float, s: float) 
         ]
         best = max(best, sum(cue_objective(p, b, d, cfg)[0] for p in parts))
     return (10.0 / 11.0) * s + best
+
+
+def build_kernel(sys: MomentSystem, cfg: HACConfig, samples: tuple[slice, ...]) -> CUEKernel:
+    """The CUE kernel of `samples`, each sample's HAC from its own row slice."""
+    Z, X = sys.Z, sys.X
+    T, k = Z.shape
+    U, R = np.linalg.qr(np.column_stack([-X, sys.Y]))
+    P, n = R.shape[0], len(samples)
+    M = (U[:, :, None] * Z[:, None, :]).reshape(T, P * k)
+    H = np.stack([hac_variance(M[s] - M[s].mean(axis=0), cfg) for s in samples])
+    G = np.stack([M[s].sum(axis=0).reshape(P, k).T for s in samples])
+    return CUEKernel(
+        rows=CUERows(Z=Z, X=X, R=R, M=M), T=np.array([s.stop - s.start for s in samples]),
+        G=G, H=np.ascontiguousarray(H.reshape(n, P, k, P, k).transpose(1, 0, 2, 3, 4)),
+    )
+
+
+def qll_s_statistic(theta0, sys: MomentSystem, cfg: HACConfig, level: float) -> TestResult:
+    """`inference.qll_s_statistic` on a copy of `sys` whose kernels come from `build_kernel`."""
+    fresh = dataclasses.replace(sys)
+    with mock.patch.object(CUEKernel, "build", staticmethod(build_kernel)):
+        return library_qll_s_statistic(theta0, fresh, cfg, level)

@@ -5,6 +5,8 @@ trial d, bounded Brent) and a dense-scan global search; the kernel path must
 agree with both on the paper's designs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,15 @@ from eulergmm.grids import (
     default_structural_grid,
     make_grid,
 )
-from eulergmm.hac import HACConfig
-from eulergmm.inference import cue_kernel, cue_objective, minimize_cue, qll_s_statistic, s_statistic
+from eulergmm.hac import HACConfig, hac_variance
+from eulergmm.inference import (
+    QLL_BREAK_FRACTIONS,
+    cue_kernel,
+    cue_objective,
+    minimize_cue,
+    qll_s_statistic,
+    s_statistic,
+)
 from eulergmm.models import (
     SemiStructuralParams,
     StructuralParams,
@@ -28,6 +37,7 @@ from eulergmm.models import (
 )
 from eulergmm.pipeline import TransformSpec
 from eulergmm.snapshot import transform_snapshot
+from test_acceptance import ma2_null_system
 
 C = constants_from_calibration(0.99, 0.025)
 CFG = HACConfig()
@@ -71,6 +81,109 @@ class TestKernelCovariance:
         sys_ = systems["IAC"]
         assert cue_kernel(sys_, HACConfig()) is cue_kernel(sys_, HACConfig(bandwidth=4))
         assert cue_kernel(sys_, HACConfig(bandwidth=0)) is not cue_kernel(sys_, HACConfig())
+
+
+def breakpoint_samples(sys_):
+    """Both sides of every qLL-S breakpoint, as `qll_b_component` lays them out."""
+    T = sys_.T
+    taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
+    return tuple(part for tau in taus if sys_.k_z < tau < T - sys_.k_z
+                 for part in (slice(0, tau), slice(tau, T)))
+
+
+def row_slice(sys_, rows):
+    return MomentSystem(Y=sys_.Y[rows], X=sys_.X[rows], Z=sys_.Z[rows], coeff=sys_.coeff,
+                        jacobian=None, y_labels=sys_.y_labels, z_labels=sys_.z_labels)
+
+
+class TestBreakpointKernel:
+    """The breakpoint samples' HACs come from one stacked product over
+    zero-padded slabs; each must equal the HAC of its own row slice."""
+
+    @pytest.mark.parametrize("bandwidth", [0, 2, "auto"])
+    @pytest.mark.parametrize("model", ["IAC", "MA(2)"])
+    def test_every_slice_matches_direct_moments(self, systems, model, bandwidth):
+        sys_ = systems["IAC"] if model == "IAC" else ma2_null_system(5)
+        cfg = HACConfig(bandwidth=bandwidth)
+        samples = breakpoint_samples(sys_)
+        assert len(samples) == 14
+        # auto resolves 3 lags on the short slices and 4 on the long ones,
+        # so the slabs go through two stacked products
+        lags = {cfg.resolve_bandwidth(s.stop - s.start) for s in samples}
+        assert lags == ({3, 4} if bandwidth == "auto" else {bandwidth})
+        kern = cue_kernel(sys_, cfg, samples)
+        parts = [row_slice(sys_, s) for s in samples]
+        m = sys_.Y.shape[1]
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            b, d, t = rng.normal(size=m), 3.0 * rng.normal(), rng.normal()
+            g0, g1, V0, V1, V2 = kern.forms(b, d)
+            for i, part in enumerate(parts):
+                g, V = ref.direct_moments(part, b, d + t, cfg)
+                scale = np.abs(V).max()
+                assert np.abs(V0[i] + t * V1[i] + t * t * V2[i] - V).max() <= 1e-12 * scale
+                assert np.abs(g0[i] + t * g1[i] - g).max() <= 1e-12 * np.abs(g).max()
+
+    def test_slice_shorter_than_bandwidth(self):
+        # T = 30 puts the first breakpoint at 6 rows: 10 lags do not fit, and
+        # the error is the one hac_variance gives for those 6 rows
+        sys_ = ma2_null_system(1, T=30)
+        cfg = HACConfig(bandwidth=10)
+        with pytest.raises(ValueError) as direct:
+            hac_variance(np.zeros((6, 2)), cfg)
+        with pytest.raises(ValueError) as kernel:
+            qll_s_statistic(np.array([1.0]), sys_, cfg)
+        assert str(kernel.value) == str(direct.value) == "bandwidth 10 must be < T=6"
+
+
+class TestOldBuildOracle:
+    """The per-slice build of `cue_reference.build_kernel` is the oracle of the
+    stacked build, on the Monte Carlo size design: fresh T = 200 MA(2) systems."""
+
+    def test_whole_sample_kernel_bits(self, systems):
+        # the whole sample's slab is its demeaned rows, scaled by exactly 1
+        for sys_ in [ma2_null_system([2, rep]) for rep in range(20)] + list(systems.values()):
+            for cfg in (HACConfig(bandwidth=2), HACConfig()):
+                new = cue_kernel(sys_, cfg)
+                old = ref.build_kernel(sys_, cfg, (slice(0, sys_.T),))
+                for name in ("R", "G", "H"):
+                    a, b = getattr(new, name), getattr(old, name)
+                    assert np.array_equal(a, b) and a.strides == b.strides, name
+                assert np.array_equal(new.seed, old.seed)
+
+    @staticmethod
+    def outcomes(sys_, cfg):
+        """(fast, slow): each a (statistic, accept, ridge, d_hat) or an error's (type, text)."""
+        out = []
+        for evaluate in (qll_s_statistic, ref.qll_s_statistic):
+            try:
+                r = evaluate(np.array([1.0]), dataclasses.replace(sys_), cfg, 0.90)
+                out.append((r.statistic, r.accept, r.ridge_flagged, r.d_hat))
+            except ValueError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    def assert_same(self, fast, slow):
+        if len(fast) == len(slow) == 4:
+            assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=0)
+            assert fast[1:] == slow[1:]
+        else:
+            assert fast == slow
+
+    def test_qll_matches_old_build(self):
+        for rep in range(200):
+            self.assert_same(*self.outcomes(ma2_null_system([2, rep]), HACConfig(bandwidth=2)))
+
+    def test_ridge_flags_match_old_build(self):
+        # a repeated instrument makes every covariance singular: the ridge is
+        # applied and flagged on both builds
+        for rep in range(5):
+            sys_ = ma2_null_system([2, rep])
+            sys_ = dataclasses.replace(sys_, Z=np.column_stack([sys_.Z, sys_.Z[:, 1]]),
+                                       z_labels=sys_.z_labels + ["z0 again"])
+            fast, slow = self.outcomes(sys_, HACConfig(bandwidth=2))
+            assert fast[2] is True
+            self.assert_same(fast, slow)
 
 
 def sampled_points():

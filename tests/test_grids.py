@@ -62,6 +62,14 @@ class TestAxisSpec:
         with pytest.raises(ValueError, match="upper"):
             AxisSpec("a", 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("lower, upper, end", [
+        (float("nan"), 1.0, "lower"), (0.0, float("nan"), "upper"),
+        (-float("inf"), 1.0, "lower"), (0.0, float("inf"), "upper"),
+    ])
+    def test_non_finite_bound(self, lower, upper, end):
+        with pytest.raises(ValueError, match=f"axis 'kappa' {end} bound is not finite"):
+            AxisSpec("kappa", lower, upper, 3)
+
 
 class TestMakeGrid:
     def test_row_major_order(self):
@@ -83,6 +91,12 @@ class TestMakeGrid:
     def test_extra_point_dimension_check(self):
         with pytest.raises(ValueError, match="coordinates"):
             GridSpec(axes=(AxisSpec("a", 0, 1, 2),), extra_points=((1.0, 2.0),))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_extra_point(self, bad):
+        with pytest.raises(ValueError, match=r"extra point \(0\.5, .*\) has a non-finite"):
+            GridSpec(axes=(AxisSpec("a", 0, 1, 2), AxisSpec("b", 0, 1, 2)),
+                     extra_points=((0.5, bad),))
 
     def test_default_structural_shape(self):
         pts = make_grid(default_structural_grid())
@@ -183,6 +197,20 @@ class TestSummaryAndExport:
         zero.write_text("")
         with pytest.raises(ValueError, match="zero.csv: empty file"):
             read_grid_csv(zero)
+
+    def test_export_is_strict_json(self, tmp_path):
+        # NaN, Infinity and -Infinity are not JSON; json.loads accepts them
+        # unless parse_constant says otherwise
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        spec = GridSpec(axes=(AxisSpec("a", -2, 2, 5), AxisSpec("b", -2, 2, 5)),
+                        extra_points=((0.1, 0.2), (3.0, -3.0)))
+        g = invert_test(ball_evaluator(), spec, 0.90)
+        _, json_path = export_grid(g, tmp_path / "strict")
+        sidecar = json.loads(open(json_path).read(), parse_constant=reject)
+        assert sidecar["extra_points"] == [[0.1, 0.2], [3.0, -3.0]]
+        assert len(sidecar["summary"]["marginals"]["a"]) == 7
 
     def test_export_six_significant_digits(self, tmp_path):
         spec = GridSpec(axes=(AxisSpec("a", 0, 1, 3),), extra_points=((1 / 3,),))

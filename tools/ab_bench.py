@@ -10,8 +10,10 @@ end-to-end metric of that file it prints each side's median and quartiles
 over the pairs, the change's wins, the parent's wins and the ties, and
 whether the change counts as a gain: it wins at least nine tenths of the
 pairs, and the medians differ by more than the distance between the
-parent's quartiles. A run that is not correct or that counts failed
-operations is reported, and the script exits 1.
+parent's quartiles. A run that is not correct, that counts failed
+operations or that exits non-zero is reported as not clean, and the script
+exits 1 after the last pair; a pair with a run that gave no metrics is left
+out of the verdicts.
 """
 
 from __future__ import annotations
@@ -27,13 +29,18 @@ SIDES = ("parent", "change")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The benchmark's summary line of one run in the checkout at `root`."""
+    """The benchmark's summary line of one run in the checkout at `root`.
+
+    A run that exits non-zero has its standard error printed and gives a
+    summary with `correct` false, its exit code and no metrics.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} exited with {proc.returncode}:\n"
-                           f"{proc.stderr}")
+        print(f"{' '.join(cmd)} in {root} exited with {proc.returncode}:\n{proc.stderr}",
+              file=sys.stderr, flush=True)
+        return {"correct": False, "failed": None, "exit": proc.returncode, "metrics": None}
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -90,19 +97,23 @@ def main() -> int:
             runs[side].append(run_once(roots[side], args.workload, i, seconds))
         line = ", ".join(
             f"{side} {runs[side][-1]['metrics']['evals_per_s']['value']:.1f} evals/s"
+            if runs[side][-1]["metrics"] else f"{side} exited with {runs[side][-1]['exit']}"
             for side in order)
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {line}", file=sys.stderr, flush=True)
 
-    rows = verdicts(runs, bench["end_to_end"])
-    print(f"{args.workload}: {args.pairs} pairs of {seconds:g} s runs; "
-          "median [q1, q3]; wins change:parent:ties")
+    pairs = [i for i in range(args.pairs) if all(runs[side][i]["metrics"] for side in SIDES)]
+    rows = verdicts({side: [runs[side][i] for i in pairs] for side in SIDES},
+                    bench["end_to_end"]) if pairs else []
+    print(f"{args.workload}: {len(pairs)} of {args.pairs} pairs of {seconds:g} s runs "
+          "compared; median [q1, q3]; wins change:parent:ties")
     for r in rows:
         (p1, pm, p3), (c1, cm, c3), w = r["parent"], r["change"], r["wins"]
         print(f"  {r['name']:<12} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
               f"change {cm:.6g} [{c1:.6g}, {c3:.6g}] {r['unit']}  "
               f"x{r['ratio']:.3f}  {w['change']}:{w['parent']}:{w['ties']}"
               + ("  gain" if r["gain"] else ""))
-    bad = [f"{side} pair {i + 1}: correct={r['correct']} failed={r['failed']}"
+    bad = [f"{side} pair {i + 1}: " + (f"exited with {r['exit']}" if r["metrics"] is None
+                                        else f"correct={r['correct']} failed={r['failed']}")
            for side in SIDES for i, r in enumerate(runs[side])
            if not r["correct"] or r["failed"]]
     for msg in bad:
