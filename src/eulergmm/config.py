@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import difflib
 import math
 import os
 from dataclasses import dataclass
@@ -160,6 +159,13 @@ _KEYS = {
 KNOWN_KEYS = {section: {k for s, k in _KEYS if s == section} for section, _ in _KEYS}
 
 
+def _close_match(word: str, choices) -> list[str]:
+    """The "did you mean" hint for an unknown name: at most one close choice."""
+    import difflib  # only on this error path: the import costs every `import eulergmm.cli`
+
+    return difflib.get_close_matches(word, choices, n=1)
+
+
 def parse_config(path: str | os.PathLike) -> RunConfig:
     """Parse and validate an INI run configuration, filling documented defaults."""
     path = os.fspath(path)
@@ -176,12 +182,12 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
 
     for section in parser.sections():
         if section not in KNOWN_KEYS:
-            hint = difflib.get_close_matches(section, KNOWN_KEYS, n=1)
+            hint = _close_match(section, KNOWN_KEYS)
             extra = f" (did you mean [{hint[0]}]?)" if hint else ""
             raise ConfigError(f"{path}: unknown section [{section}]{extra}")
         for key in parser[section]:
             if key not in KNOWN_KEYS[section]:
-                hint = difflib.get_close_matches(key, KNOWN_KEYS[section], n=1)
+                hint = _close_match(key, KNOWN_KEYS[section])
                 extra = f" (did you mean {hint[0]!r}?)" if hint else ""
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]{extra}")
 

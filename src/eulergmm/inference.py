@@ -17,6 +17,11 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+# numpy.linalg's LAPACK gufuncs, which np.linalg.solve and np.linalg.cholesky
+# call after argument checks and casts that cost more than the work on a stack
+# of a few 4 x 4 matrices. Called directly they give the same bits, and report
+# a singular or indefinite matrix by NaN output and the invalid flag.
+from numpy.linalg import _umath_linalg
 
 from .design import MomentSystem
 from .hac import HACConfig, hac_variance
@@ -69,20 +74,26 @@ class SingularCovarianceError(ValueError):
     """Raised when the HAC covariance cannot be factorized even with a ridge."""
 
 
+def _ridge(V: np.ndarray) -> np.ndarray:
+    """The ridge of every V in a stack: 1e-12 trace(V) / k."""
+    return 1e-12 * V.trace(axis1=-2, axis2=-1) / V.shape[-1]
+
+
 def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
     """Solve V x = rhs for symmetric positive-definite V.
 
-    A Cholesky factorization decides definiteness. On its failure a single
-    ridge of 1e-12 * trace/k is added and the result flagged; a second
-    failure is a hard error.
+    A Cholesky factorization decides definiteness and conditioning. When it
+    fails, or its smallest squared pivot is below the ridge 1e-12 * trace/k,
+    that ridge is added and the result flagged; a failure of the ridged V's
+    Cholesky is a hard error.
     """
+    ridge = _ridge(V)
     try:
-        np.linalg.cholesky(V)
-        return np.linalg.solve(V, rhs), False
+        if np.linalg.cholesky(V).diagonal().min() ** 2 >= ridge:
+            return np.linalg.solve(V, rhs), False
     except np.linalg.LinAlgError:
         pass
-    k = V.shape[0]
-    V = V + 1e-12 * np.trace(V) / k * np.eye(k)
+    V = V + ridge * np.eye(V.shape[0])
     try:
         np.linalg.cholesky(V)
         return np.linalg.solve(V, rhs), True
@@ -95,11 +106,11 @@ def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray
 def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     """`_solve_spd` for a stack of V: (x, flagged, singular), x NaN on singular rows."""
     n = len(V)
-    try:
-        np.linalg.cholesky(V)
-        return np.linalg.solve(V, rhs), np.zeros(n, bool), np.zeros(n, bool)
-    except np.linalg.LinAlgError:
-        pass
+    # a V whose Cholesky fails has NaN pivots; one that passes is safe for LU
+    with np.errstate(all="ignore"):
+        pivots = _umath_linalg.cholesky_lo(V).diagonal(axis1=-2, axis2=-1)
+        if ((pivots * pivots).min(axis=-1) >= _ridge(V)).all():
+            return _umath_linalg.solve(V, rhs), np.zeros(n, bool), np.zeros(n, bool)
     x, flagged, singular = np.full(rhs.shape, np.nan), np.zeros(n, bool), np.zeros(n, bool)
     for i in range(n):
         try:
@@ -111,10 +122,11 @@ def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """V x = rhs for a stack of V; a singular V takes `_solve_spd`'s ridge, or NaN past it."""
-    try:
-        return np.linalg.solve(V, rhs)
-    except np.linalg.LinAlgError:
-        pass
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            return _umath_linalg.solve(V, rhs)
+        except FloatingPointError:  # a singular V
+            pass
     if V.ndim > 2:
         return np.array([_solve(Vi, ri) for Vi, ri in zip(V, rhs)])
     try:
@@ -170,10 +182,10 @@ class CUEKernel:
     the sum cancels no more than the residual itself does. For fixed b, V(d)
     is quadratic and g(d) linear in d: k x k algebra per trial d, with no pass
     over the rows. The methods take coefficient rows b (... x m) with d (...),
-    and their results lead with the sample axis. Products with a row are
-    stacked matrix products (`u[..., None, :] @ ...`), one per row: a 2-D
-    product would let BLAS round a row differently with the batch's size, and
-    a row's numbers must not depend on the rest of its batch.
+    and their results put the sample axis after the rows' (... x n x k). Each
+    is one matrix product per row, of u with G, of u u' with H, or of u with
+    K + K' (`K`): a 2-D product would let BLAS round a row differently with the
+    batch's size, and a row's numbers must not depend on the rest of its batch.
 
     Every sample's H comes from one pass over the rows: each sample's rows
     of M are demeaned on their own and written, in place, into a T-row slab
@@ -225,6 +237,31 @@ class CUEKernel:
         return self.rows.R
 
     @cached_property
+    def _G_rows(self) -> np.ndarray:
+        """G laid out as a map of u: g = u @ _G_rows, P x (n k)."""
+        return np.ascontiguousarray(self.G.transpose(2, 0, 1)).reshape(self.G.shape[2], -1)
+
+    @cached_property
+    def _H_pairs(self) -> np.ndarray:
+        """H laid out as a map of u u': V = (u u') @ _H_pairs, P^2 x (n k k)."""
+        P = self.H.shape[0]
+        return np.ascontiguousarray(self.H.transpose(0, 3, 1, 2, 4)).reshape(P * P, -1)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """K_p = sum_q R_q0 H_pq of every sample, P x (n k k): V1 = sum_p u_p (K_p + K_p')
+        and V2 = sum_p R_p0 K_p."""
+        P = self.H.shape[0]
+        return self.R[:, 0] @ self._H_pairs.reshape(P, P, -1)
+
+    @cached_property
+    def _V1_map(self) -> np.ndarray:
+        """V1 as a map of u: V1 = u @ _V1_map, P x (n k k)."""
+        n, k = self.G.shape[:2]
+        K = self.K.reshape(-1, n, k, k)
+        return (K + K.swapaxes(-1, -2)).reshape(len(K), -1)
+
+    @cached_property
     def g1(self) -> np.ndarray:
         """dg/dd of every sample; it does not depend on (b, d)."""
         return self.G @ self.R[:, 0]
@@ -232,8 +269,8 @@ class CUEKernel:
     @cached_property
     def V2(self) -> np.ndarray:
         """(1/2) d2V/dd2 of every sample; it does not depend on (b, d)."""
-        v = self.R[:, 0]
-        return np.einsum("...niqj,q->n...ij", self._partial_u(v), v)
+        n, k = self.G.shape[:2]
+        return (self.R[:, 0] @ self.K).reshape(n, k, k)
 
     @cached_property
     def seed(self) -> np.ndarray:
@@ -243,17 +280,11 @@ class CUEKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.G[0] @ self.R[:, 1:]).T @ w / -(w @ self.g1[0])
 
-    def _partial_u(self, u: np.ndarray) -> np.ndarray:
-        """sum_p u_p H_pq of every sample, for rows u (... x P): ... x n x k x P x k."""
-        P, n, k = self.H.shape[:3]
-        Hu = u[..., None, :] @ self.H.reshape(P, -1)
-        return Hu.reshape(u.shape[:-1] + (n, k, P, k))
-
-    def _partial(self, b: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
-        """u = R (d, b) and its `_partial_u` for every row."""
+    def _u(self, b: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+        """u = R (d, b) of every row as ... x 1 x P, and u u' as ... x 1 x P^2."""
         c = np.concatenate([np.asarray(d, dtype=float)[..., None], b], axis=-1)
-        u = (c[..., None, :] @ self.R.T)[..., 0, :]
-        return u, self._partial_u(u)
+        u = c[..., None, :] @ self.R.T
+        return u, (u.swapaxes(-1, -2) * u).reshape(u.shape[:-1] + (-1,))
 
     def forms(self, b: np.ndarray, d) -> tuple[np.ndarray, ...]:
         """(g0, g1, V0, V1, V2) with g(d + t) = g0 + t g1, V(d + t) = V0 + t V1 + t^2 V2.
@@ -261,21 +292,23 @@ class CUEKernel:
         Expand about a d near the minimum: V0 then has the size of V, where an
         expansion about d = 0 would lose digits in proportion to (|Y b| / |A c|)^2.
         """
-        u, Hu = self._partial(b, d)
-        C = np.einsum("...niqj,q->n...ij", Hu, self.R[:, 0])
-        return (np.einsum("nkp,...p->n...k", self.G, u), self.g1,
-                np.einsum("...niqj,...q->n...ij", Hu, u), C + np.swapaxes(C, -1, -2), self.V2)
+        u, uu = self._u(b, d)
+        shape = u.shape[:-2] + self.G.shape[:2]
+        return ((u @ self._G_rows).reshape(shape), self.g1,
+                (uu @ self._H_pairs).reshape(shape + shape[-1:]),
+                (u @ self._V1_map).reshape(shape + shape[-1:]), self.V2)
 
     def objectives(self, b: np.ndarray, d) -> np.ndarray:
-        """The CUE objective (1/T) g' V^-1 g of every sample and row at (b, d).
+        """The CUE objective (1/T) g' V^-1 g of every row and sample at (b, d), ... x n.
 
-        NaN where V is singular even after `_solve_spd`'s ridge.
+        V is solved as by `_solve_spd`, with its ridge where V is ill-conditioned,
+        and the objective is NaN where V is singular even after the ridge.
         """
-        u, Hu = self._partial(b, d)
-        g = np.einsum("nkp,...p->n...k", self.G, u)
-        x = _solve(np.einsum("...niqj,...q->n...ij", Hu, u), g[..., None])
-        T = self.T.reshape(self.T.shape + (1,) * (g.ndim - 2))
-        return np.einsum("n...i,n...i->n...", g, x[..., 0]) / T
+        u, uu = self._u(b, d)
+        n, k = self.G.shape[:2]
+        g = (u @ self._G_rows).reshape(-1, k)
+        x = _solve_spd_rows((uu @ self._H_pairs).reshape(-1, k, k), g[..., None])[0]
+        return (g * x[..., 0]).sum(axis=-1).reshape(u.shape[:-2] + (n,)) / self.T
 
 
 def cue_kernel(
@@ -314,43 +347,79 @@ BATCH_CHUNK = 64
 CUE_SCAN_POINTS = 65
 _SCAN = np.linspace(-10.0, 10.0, CUE_SCAN_POINTS)
 
-#: The Newton polish stops at a step below this fraction of se. A tighter
-#: stop sits under the rounding noise of the slope, where steps bounce.
+#: The Newton polish stops a root once Newton's predicted error after a step
+#: is below a quarter of this fraction of se, or once a step is below it. A
+#: tighter stop sits under the rounding noise of the slope, where steps bounce.
 NEWTON_XTOL = 1e-10
 #: Enough safeguarded steps to bisect a scan interval down to NEWTON_XTOL.
 _NEWTON_STEPS = 100
+#: The four scan nodes about a sign change between nodes c and c + 1.
+_NODES = np.arange(-1, 3)
+
+
+def _newton_work(g1: np.ndarray, V2: np.ndarray, m: int) -> np.ndarray:
+    """m rows of `_newton_terms`'s workspace [g | g1 | V' | V2], g1 and V2 filled in."""
+    k = len(g1)
+    work = np.empty((m, k, 2 + 2 * k))
+    work[..., 1], work[..., k + 2:] = g1, V2
+    return work
+
+
+def _newton_terms(g0, V0, V1, V2, r: np.ndarray, work: np.ndarray):
+    """(q, dq, d2q, d3q): q(t) = g'V^-1 g and its t-derivatives at t = r, every row.
+
+    With x = V^-1 g, h = g1 - V'x and y = V^-1 h = dx/dt,
+    dq = 2 g1'x - x'V'x, d2q = 2 h'y - 2 x'V2 x and d3q = -6 (2 x'V2 y + y'V'y).
+    One solve of V against [g | g1 | V'] gives x and y = V^-1 g1 - V^-1 V' x,
+    and one product of [x | y] with `work` = [g | g1 | V' | V2] (`_newton_work`)
+    every scalar product the derivatives need.
+    """
+    m, k = g0.shape
+    rr = r[:, None, None]
+    A = V1 + rr * V2
+    work[..., 0] = g0 + r[:, None] * work[..., 1]
+    np.add(A, rr * V2, out=work[..., 2:k + 2])
+    sol = _solve(V0 + rr * A, work[..., :k + 2])
+    xy = sol[..., :2]
+    xy[..., 1:] -= sol[..., 2:] @ xy[..., :1]
+    P = xy.swapaxes(-1, -2) @ work  # [x | y]' [g | g1 | V' | V2]
+    Q = P[..., 2:].reshape(m, 2, 2, k) @ xy[:, None]  # [x | y]' {V', V2} [x | y]
+    return (P[:, 0, 0], 2.0 * P[:, 0, 1] - Q[:, 0, 0, 0],
+            2.0 * (P[:, 1, 1] - Q[:, 0, 0, 1] - Q[:, 0, 1, 0]),
+            -6.0 * (2.0 * Q[:, 0, 1, 1] + Q[:, 1, 0, 1]))
 
 
 def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
     """Slope roots in every - to + sign change of the scan: (rows, roots, q).
 
-    Lockstep Newton steps on s(t) = 2 g1'x - x'V'x, x = V^-1 g, with
-    s'(t) = 2 h'V^-1 h - 2 x'V2 x and h = g1 - V'x, from the regula-falsi
-    point of each bracket. A step that would leave the bracket, or that is
-    more than half the step before last (the slope's rounding noise at an
-    ill-conditioned V), bisects instead. q is g'x at each root's last
-    evaluated iterate, within NEWTON_XTOL se of the root, where q is stationary.
+    Lockstep Newton steps on the slope dq of q(t) = g'V^-1 g, one
+    `_newton_terms` solve per step, from the root of the cubic through the
+    slope at the four scan nodes about each sign change (t as a function of
+    s): it needs no solve, and starts 10 to 100 times closer to the root
+    than the regula-falsi point. A step that would leave the bracket, or
+    that is more than half the step before last (the slope's rounding noise
+    at an ill-conditioned V), bisects instead. A root stops once Newton's predicted error after its step,
+    |d3q / (2 d2q)| dt^2, is below NEWTON_XTOL se / 4, or once a step is below
+    NEWTON_XTOL se. q ranks the roots: the Newton model's minimum
+    q - dq^2 / (2 d2q) at the last evaluated iterate (q there after a bisection).
     """
-    rows, cols = np.nonzero((s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0))
+    rows, cols = ((s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0)).nonzero()
     roots, q = np.empty(rows.size), np.empty(rows.size)
     lo, hi = t[rows, cols], t[rows, cols + 1]
-    r = lo - s[rows, cols] * (hi - lo) / (s[rows, cols + 1] - s[rows, cols])
+    # start where t as a cubic in s through the four nodes about the sign
+    # change puts s = 0 (the Lagrange weights at s = 0 are prod_j s_j / (s_j - s_i)),
+    # held inside the bracket
+    nodes = np.minimum(np.maximum(cols, 1), s.shape[1] - 3)[:, None] + _NODES
+    S = s[rows[:, None], nodes]
+    D = S[:, None, :] - S[:, :, None]
+    D.reshape(-1, 16)[:, ::5] = S
+    r = ((S[:, None, :] / D).prod(axis=-1) * t[rows[:, None], nodes]).sum(axis=-1)
+    r = np.fmin(np.fmax(r, lo), hi)
     live, tol = np.arange(rows.size), NEWTON_XTOL * se[rows]
     last = older = hi - lo  # sizes of the last two steps
-    g0, V0, V1 = g0[rows], V0[rows], V1[rows]
-    # one solve per step: V^-1 [g | g1 | V'] gives x, and x' = V^-1 g1 - V^-1 V' x
-    rhs = np.empty(V0.shape[:2] + (V0.shape[2] + 2,))
-    rhs[..., 1] = g1
+    g0, V0, V1, work = g0[rows], V0[rows], V1[rows], _newton_work(g1, V2, rows.size)
     for step in range(_NEWTON_STEPS if rows.size else 0):
-        rr = r[:, None, None]
-        A = V1 + rr * V2
-        rhs[..., 0], rhs[..., 2:] = g0 + r[:, None] * g1, A + rr * V2
-        sol = _solve(V0 + rr * A, rhs)
-        h = g1 - (rhs[..., 2:] @ sol[..., :1])[..., 0]
-        xd = sol[..., 1] - (sol[..., 2:] @ sol[..., :1])[..., 0]
-        x = sol[..., 0]
-        slope = np.einsum("mi,mi->m", x, g1 + h)
-        curve = 2.0 * (np.einsum("mi,mi->m", xd, h) - ((x[:, None] @ V2)[:, 0] * x).sum(-1))
+        qr, slope, curve, third = _newton_terms(g0, V0, V1, V2, r, work)
         neg = slope < 0.0
         lo, hi = np.where(neg, r, lo), np.where(neg, hi, r)
         dt = slope / curve
@@ -358,7 +427,9 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
         newton = (new >= lo) & (new <= hi) & (np.abs(dt) <= 0.5 * older)
         new = np.where(newton, new, 0.5 * (lo + hi))
         older, last = last, np.abs(new - r)
-        going = last > tol
+        # a Newton step whose predicted error |d3q / (2 d2q)| dt^2 is below tol / 4
+        close = newton & (np.abs(third * dt * dt) < 0.5 * tol * np.abs(curve))
+        going = (last > tol) & ~close
         if step == _NEWTON_STEPS - 1:
             going[:] = False
         elif going.all():
@@ -366,11 +437,11 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
             continue
         stop = ~going
         roots[live[stop]] = new[stop]
-        q[live[stop]] = np.einsum("mi,mi->m", rhs[stop, :, 0], x[stop])
+        q[live[stop]] = np.where(newton, qr - 0.5 * slope * dt, qr)[stop]
         if not going.any():
             break
-        live, r, lo, hi, tol, older, last, g0, V0, V1, rhs = (
-            a[going] for a in (live, new, lo, hi, tol, older, last, g0, V0, V1, rhs)
+        live, r, lo, hi, tol, older, last, g0, V0, V1, work = (
+            a[going] for a in (live, new, lo, hi, tol, older, last, g0, V0, V1, work)
         )
     return rows, roots, q
 
@@ -388,67 +459,72 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     # by V(d1)^-1; everything after is in t = d - d1
     d1 = (B * kern.seed).sum(axis=-1)
     d1[~np.isfinite(d1)] = 0.0
-    g0, g1, V0, V1, V2 = (f[0] for f in kern.forms(B, d1))
-    c = -g1
+    g0, g1, V0, V1, V2 = kern.forms(B, d1)
+    g0, g1, V0, V1, V2 = g0[:, 0], g1[0], V0[:, 0], V1[:, 0], V2[0]
     rhs = np.empty(g0.shape + (2,))
-    rhs[..., 0], rhs[..., 1] = g0, c
+    rhs[..., 0], rhs[..., 1] = g0, -g1
     sol, _, singular = _solve_spd_rows(V0, rhs)
-    for i in np.flatnonzero(singular):
-        errors[i] = SingularCovarianceError(
-            f"HAC covariance singular even after ridge (two-step seed d={float(d1[i])!r})"
-        )
-    num, denom = np.einsum("i,nij->jn", c, sol)
+    num, denom = (-g1 @ sol).T
     t0, se = num / denom, np.sqrt(T / denom)
-    if not (denom > 0).all() or not np.isfinite(t0).all():
+    if not np.isfinite(t0 * se).all():  # denom <= 0, or t0 not finite
         flat = ~(denom > 0)
         t0[flat], se[flat] = 0.0, np.maximum(1.0, np.abs(d1[flat]))
         bad = ~np.isfinite(t0)
         t0[bad], se[bad] = 0.0, 1.0
     se = np.maximum(se, 1e-12)
+    keep = None
+    if singular.any():
+        for i in np.flatnonzero(singular):
+            errors[i] = SingularCovarianceError(
+                f"HAC covariance singular even after ridge (two-step seed d={float(d1[i])!r})"
+            )
+        keep = np.flatnonzero(~singular)
+        g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
 
     # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
     # of those minima and the two bracket ends
-    keep = np.flatnonzero(~singular)
-    if keep.size < N:
-        g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
     t = t0[:, None] + se[:, None] * _SCAN
     # every node's V(t) and g(t) in one product per row each:
     # [1, t, t^2] @ [V0; V1; V2] and [1, t] @ [g0; g1]
     n, k = g0.shape
-    powers = np.stack([np.ones_like(t), t, t * t], axis=-1)
+    powers = np.empty(t.shape + (3,))
+    powers[..., 0], powers[..., 1] = 1.0, t
+    np.multiply(t, t, out=powers[..., 2])
     forms, g_forms = np.empty((n, 3, k, k)), np.empty((n, 2, k))
     forms[:, 0], forms[:, 1], forms[:, 2] = V0, V1, V2
     g_forms[:, 0], g_forms[:, 1] = g0, g1
     g = powers[..., :2] @ g_forms
     x = _solve((powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k)), g[..., None])[..., 0]
-    q = np.einsum("nsi,nsi->ns", g, x)
     s = 2.0 * x @ g1 - ((x @ V1) * x).sum(-1) - 2.0 * t * ((x @ V2) * x).sum(-1)
     rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)
     # candidates in the order both ends, then the roots, so ties keep the first
-    ar = np.arange(len(t))
+    ends = CUE_SCAN_POINTS - 1
+    q_ends = (g[:, ::ends] * x[:, ::ends]).sum(axis=-1)
+    ar = np.arange(n)
     owner = np.concatenate([ar, ar, rows])
-    cand_q = np.concatenate([q[:, 0], q[:, -1], q_roots])
+    cand_q = np.concatenate([q_ends[:, 0], q_ends[:, 1], q_roots])
     cand_t = np.concatenate([t[:, 0], t[:, -1], roots])
     cand_q[~np.isfinite(cand_q)] = np.inf
     order = np.lexsort((cand_q, owner))
-    pick = order[np.searchsorted(owner[order], ar)]
+    pick = order[owner[order].searchsorted(ar)]
     best = np.where(cand_q[pick] < np.inf, cand_t[pick], t0)
 
-    # the ridge flag and the error come from the factorization at d_hat; a
-    # row that needs the ridge takes its statistic from that solve
+    # the statistic, the ridge flag and the error come from the factorization at d_hat
     bb = best[:, None, None]
-    gb = g0 + best[:, None] * g1
-    xb, flagged_k, singular_k = _solve_spd_rows(V0 + bb * (V1 + bb * V2), gb[..., None])
-    stat_k = cand_q[pick] / T
-    redo = np.flatnonzero(~(stat_k < np.inf) | flagged_k | singular_k)
-    stat_k[redo] = np.einsum("ni,ni->n", gb[redo], xb[redo, :, 0]) / T
-    stat, d_hat, flagged = np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool)
-    stat[keep], d_hat[keep], flagged[keep] = stat_k, d1 + best, flagged_k
-    for i in keep[singular_k]:
-        errors[i] = SingularCovarianceError(
-            f"HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
-        )
-        stat[i] = d_hat[i] = np.nan
+    gb = (g0 + best[:, None] * g1)[:, None, :]
+    xb, flagged, singular = _solve_spd_rows(V0 + bb * (V1 + bb * V2), gb.swapaxes(-1, -2))
+    stat, d_hat = (gb @ xb)[:, 0, 0] / T, d1 + best
+    if keep is not None:
+        out = np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool), np.zeros(N, bool)
+        for a, part in zip(out, (stat, d_hat, flagged, singular)):
+            a[keep] = part
+        stat, d_hat, flagged, singular = out
+    if singular.any():
+        for i in np.flatnonzero(singular):
+            errors[i] = SingularCovarianceError(
+                f"HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
+            )
+            stat[i] = d_hat[i] = np.nan
     return stat, d_hat, flagged, errors
 
 
@@ -460,9 +536,11 @@ def minimize_cue(
     The two-step GMM estimate d0 and its standard error se set the bracket
     d0 +- 10 se. A scan of the bracket finds every node pair where the analytic
     slope turns from negative to positive; each such root is polished by a
-    safeguarded Newton search to 1e-10 se, and the lowest of these minima and
-    the two bracket ends is returned. The ridge flag is that of the solve at
-    d_hat. This is a batch of one of the lattice path (`s_statistics`).
+    safeguarded Newton search, which stops once Newton's predicted error is
+    below NEWTON_XTOL se / 4 (`_polish`), and the lowest of these minima and
+    the two bracket ends is d_hat. The statistic and the ridge flag come from
+    the factorization of V at d_hat. This is a batch of one of the lattice
+    path (`s_statistics`).
     """
     B = np.asarray(b, dtype=float)[None]
     stat, d_hat, flagged, errors = _minimize_rows(cue_kernel(sys, cfg), B, sys.T)
@@ -518,19 +596,18 @@ def _results(errors: list, variant: str, stat, df, crit, level: float, bandwidth
     row; `d_hat` is None for a statistic that does not concentrate out d."""
     n = len(errors)
     df, crit = (a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in (df, crit))
-    stat, flagged = stat.tolist(), flagged.tolist()
     d_hat = [None] * n if d_hat is None else d_hat.tolist()
-    out = list(errors)
-    for i, err in enumerate(errors):
-        if err is None:
+    out = []
+    for outcome, s, k, c, d, f in zip(errors, stat.tolist(), df, crit, d_hat, flagged.tolist()):
+        if outcome is None:
             try:
-                out[i] = TestResult(
-                    statistic=stat[i], df=df[i], critical_value=crit[i], level=level,
-                    accept=stat[i] <= crit[i], d_hat=d_hat[i], bandwidth=bandwidth,
-                    variant=variant, ridge_flagged=flagged[i],
+                outcome = TestResult(
+                    statistic=s, df=k, critical_value=c, level=level, accept=s <= c,
+                    d_hat=d, bandwidth=bandwidth, variant=variant, ridge_flagged=f,
                 )
             except ValueError as exc:
-                out[i] = exc
+                outcome = exc
+        out.append(outcome)
     return out
 
 
@@ -632,9 +709,8 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     if kern is not None:
         for lo in range(0, len(B), BATCH_CHUNK):
             part = slice(lo, lo + BATCH_CHUNK)
-            sides = kern.objectives(B[part], d[part])  # (breakpoint, side) x row
-            splits = sides.reshape(-1, 2, sides.shape[-1]).sum(axis=1)
-            out[part] = np.maximum(0.0, splits.max(axis=0))
+            sides = kern.objectives(B[part], d[part])  # row x (breakpoint, side)
+            np.maximum((sides[:, ::2] + sides[:, 1::2]).max(axis=1), 0.0, out=out[part])
     return float(out[0]) if np.ndim(b) == 1 else out
 
 
@@ -656,14 +732,15 @@ def qll_s_statistics(
         )
     B, s, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
     ok = np.flatnonzero([e is None for e in errors])
-    comps = np.full(len(errors), np.nan)
-    comps[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
-    for i in ok[~np.isfinite(comps[ok])]:
+    stat = np.full(len(errors), np.nan)
+    stat[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
+    for i in ok[~np.isfinite(stat[ok])]:
         errors[i] = SingularCovarianceError(
             f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
         )
-    return _results(errors, "qLL-S(sup-split)", (10.0 / 11.0) * s + comps, sys.df,
-                    QLL_CRITICAL_VALUES[key], level, cfg.resolve_bandwidth(sys.T), d_hat, flagged)
+    stat += (10.0 / 11.0) * s
+    return _results(errors, "qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
+                    cfg.resolve_bandwidth(sys.T), d_hat, flagged)
 
 
 def qll_s_statistic(

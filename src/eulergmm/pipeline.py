@@ -95,7 +95,10 @@ def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
 
     Quarters must be strictly increasing and contiguous; every value must
     parse as a finite float. Errors report the offending data row number
-    (1 = first row after the header).
+    (1 = first row after the header). The dates are checked in one pass
+    against the labels of the quarters that follow the first one, and the
+    values converted in one; only a file that fails is walked row by row,
+    to name its first fault.
     """
     path = os.fspath(path)
     rows = _csv_rows(path)
@@ -104,11 +107,29 @@ def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
     header = rows[0]
     if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
         raise PipelineError(f"{path}: expected header 'date,value', got {header}")
+    body = [(row_no, row) for row_no, row in enumerate(rows[1:], start=1) if row]
+    if not body:
+        raise PipelineError(f"{path}: no observations")
+    try:
+        first = QuarterIndex.ordinal(body[0][1][0])
+        values = np.array(list(map(float, (row[1] if len(row) > 1 else "" for _, row in body))))
+        labels = [f"{k // 4:04d}Q{k % 4 + 1}" for k in range(first, first + len(body))]
+        clean = [row[0].strip() for _, row in body] == labels and np.isfinite(values).all()
+    except ValueError:
+        clean = False
+    if clean:
+        start = QuarterIndex.of_ordinal(first)
+    else:
+        start, values = _parse_rows(path, body)
+    return Series(name or os.path.splitext(os.path.basename(path))[0], start, values)
+
+
+def _parse_rows(path: str, body: list) -> tuple[QuarterIndex, list[float]]:
+    """(first quarter, values) of a series file's (row number, row) pairs, row by
+    row; the first faulty row raises a PipelineError that names it."""
     quarters: list[QuarterIndex] = []
     values: list[float] = []
-    for row_no, row in enumerate(rows[1:], start=1):
-        if not row:
-            continue
+    for row_no, row in body:
         try:
             q = QuarterIndex.parse(row[0])
         except ValueError as exc:
@@ -126,9 +147,7 @@ def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
                 )
         quarters.append(q)
         values.append(_finite(row[1] if len(row) > 1 else "", path, row_no))
-    if not quarters:
-        raise PipelineError(f"{path}: no observations")
-    return Series(name or os.path.splitext(os.path.basename(path))[0], quarters[0], np.array(values))
+    return quarters[0], values
 
 
 def load_series_dir(directory: str | os.PathLike) -> dict[str, Series]:

@@ -23,17 +23,25 @@ class QuarterIndex:
 
     @classmethod
     def parse(cls, text: str) -> "QuarterIndex":
+        return cls.of_ordinal(cls.ordinal(text))
+
+    @staticmethod
+    def ordinal(text: str) -> int:
+        """4 * year + quarter - 1 of a YYYYQn text; consecutive quarters differ by 1."""
         m = _QUARTER_RE.match(text.strip())
         if m is None:
             raise ValueError(f"malformed quarter {text!r}, expected YYYYQn")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return 4 * int(m.group(1)) + int(m.group(2)) - 1
+
+    @classmethod
+    def of_ordinal(cls, k: int) -> "QuarterIndex":
+        return cls(k // 4, k % 4 + 1)
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.quarter}"
 
     def __add__(self, n: int) -> "QuarterIndex":
-        k = (self.year * 4 + self.quarter - 1) + int(n)
-        return QuarterIndex(k // 4, k % 4 + 1)
+        return QuarterIndex.of_ordinal(self.year * 4 + self.quarter - 1 + int(n))
 
     def __sub__(self, other: "QuarterIndex") -> int:
         return (self.year * 4 + self.quarter) - (other.year * 4 + other.quarter)

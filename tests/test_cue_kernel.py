@@ -6,11 +6,13 @@ agree with both on the paper's designs.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import cue_reference as ref
+from eulergmm import inference
 from eulergmm.design import BASELINE_INSTRUMENTS, MomentSystem, build_design
 from eulergmm.grids import (
     AxisSpec,
@@ -21,12 +23,18 @@ from eulergmm.grids import (
 )
 from eulergmm.hac import HACConfig, hac_variance
 from eulergmm.inference import (
+    BATCH_CHUNK,
+    NEWTON_XTOL,
     QLL_BREAK_FRACTIONS,
+    _minimize_rows,
+    _newton_terms,
+    _newton_work,
     cue_kernel,
     cue_objective,
     minimize_cue,
     qll_s_statistic,
     s_statistic,
+    s_statistics,
 )
 from eulergmm.models import (
     SemiStructuralParams,
@@ -36,6 +44,7 @@ from eulergmm.models import (
     semi_coefficients,
 )
 from eulergmm.pipeline import TransformSpec
+from eulergmm.quantiles import chi2_quantile
 from eulergmm.snapshot import transform_snapshot
 from test_acceptance import ma2_null_system
 
@@ -186,6 +195,20 @@ class TestOldBuildOracle:
             self.assert_same(fast, slow)
 
 
+def repeated_instrument_system():
+    """The system of `test_ridge_flag_at_singular_covariance`: T = 120 rows
+    whose last instrument repeats the first excluded one."""
+    rng = np.random.default_rng(0)
+    T = 120
+    z = rng.normal(size=(T, 2))
+    return MomentSystem(
+        Y=(0.7 + rng.normal(size=T))[:, None], X=np.ones((T, 1)),
+        Z=np.column_stack([np.ones(T), z, z[:, 0]]),
+        coeff=lambda th: np.asarray(th, float), jacobian=None,
+        y_labels=["y"], z_labels=["const", "z1", "z2", "z1 again"],
+    )
+
+
 def sampled_points():
     rng = np.random.default_rng(11)
     iac = make_grid(default_structural_grid())
@@ -258,3 +281,108 @@ class TestAgainstReference:
         ref_stat, _, ref_flagged = ref.minimize_cue(sys_, np.array([1.0]), cfg)
         assert flagged and ref_flagged
         assert stat == pytest.approx(ref_stat, rel=1e-7)
+
+    def test_ridge_flagged_by_conditioning(self):
+        # V at d_hat is singular in exact arithmetic at every point, whether
+        # or not its Cholesky happens to succeed in floating point
+        results = s_statistics([np.array([b]) for b in np.linspace(-2.0, 2.0, 70)],
+                               repeated_instrument_system(), HACConfig(bandwidth=2))
+        assert [getattr(r, "ridge_flagged", r) for r in results] == [True] * 70
+
+
+def lattice_rows(systems, case):
+    """(system, coefficient rows) of the 20 x 20 SEMI box at a rho, or the 8 x 8 x 8 IAC box."""
+    if case == "IAC":
+        box = GridSpec(axes=tuple(
+            AxisSpec(a.name, a.lower, a.upper, 8, a.include_lower, a.include_upper)
+            for a in default_structural_grid().axes
+        ))
+        sys_, thetas = systems["IAC"], [StructuralParams(*p) for p in make_grid(box)]
+    else:
+        rho = float(case.split()[1])
+        sys_ = systems["SEMI"]
+        thetas = [SemiStructuralParams(rho, *p) for p in make_grid(semi_box(20))]
+    return sys_, np.array([sys_.coeff(theta) for theta in thetas])
+
+
+class TestStepStopOracle:
+    """`cue_reference.minimize_rows`, the earlier minimiser that stopped each
+    root on its step size and ranked the roots by q at their last iterate, is
+    the oracle of the stop on Newton's predicted error."""
+
+    @staticmethod
+    def assert_close(sys_, kern, B):
+        crit = chi2_quantile(sys_.df, 0.90)
+        for lo in range(0, len(B), BATCH_CHUNK):
+            part = B[lo:lo + BATCH_CHUNK]
+            stat, d_hat, flagged, errors = _minimize_rows(kern, part, sys_.T)
+            ref_stat, ref_d, ref_flagged, ref_errors, se = ref.minimize_rows(kern, part, sys_.T)
+            assert [e and (type(e), str(e)) for e in errors] == \
+                [e and (type(e), str(e)) for e in ref_errors]
+            assert np.array_equal(flagged, ref_flagged)
+            ok = np.array([e is None for e in errors])
+            # twice the polish's tolerance, plus the slope's rounding noise:
+            # at SEMI rho = 0 (d near -20, se near 0.008) it alone moves a
+            # root by several NEWTON_XTOL se
+            tol = 2.0 * NEWTON_XTOL * se + 1e-12 * np.abs(ref_d)
+            assert np.all(np.abs(d_hat - ref_d)[ok] <= tol[ok])
+            assert np.all(np.abs(stat - ref_stat)[ok] <= 1e-9 * np.abs(ref_stat)[ok])
+            assert np.array_equal(stat[ok] <= crit, ref_stat[ok] <= crit)
+
+    @pytest.mark.parametrize("case", ["SEMI 0", "SEMI 0.9", "IAC"])
+    def test_lattices(self, systems, case):
+        sys_, B = lattice_rows(systems, case)
+        self.assert_close(sys_, cue_kernel(sys_, CFG), B)
+
+    def test_ma2_systems(self):
+        cfg = HACConfig(bandwidth=2)
+        for rep in range(600):
+            sys_ = ma2_null_system([3, rep])
+            self.assert_close(sys_, cue_kernel(sys_, cfg), np.array([[1.0]]))
+
+    def test_third_derivative_matches_central_differences(self, systems):
+        # at d_hat of a point with two minima in its bracket
+        sys_ = systems["SEMI"]
+        theta = SemiStructuralParams(0.0, *make_grid(semi_box(20))[171])
+        b, d = sys_.coeff(theta), s_statistic(theta, sys_).d_hat
+        g0, g1, V0, V1, V2 = cue_kernel(sys_, CFG).forms(b, d)
+        q, dq, d2q, d3q = (float(a[0]) for a in _newton_terms(
+            g0, V0, V1, V2[0], np.zeros(1), _newton_work(g1[0], V2[0], 1)))
+
+        def f(t):
+            return cue_objective(sys_, b, d + t, CFG)[0] * sys_.T
+
+        h = 1e-2 * math.sqrt(q / d2q)
+        assert q == pytest.approx(f(0.0), rel=1e-12)
+        # the differences' own errors here: 2.6e-6 and 6.1e-5 relative
+        assert d2q == pytest.approx((f(h) - 2.0 * f(0.0) + f(-h)) / h**2, rel=2e-5)
+        assert d3q == pytest.approx(
+            (f(2 * h) - 2.0 * f(h) + 2.0 * f(-h) - f(-2 * h)) / (2.0 * h**3), rel=5e-4)
+
+
+class TestPolishSolveCount:
+    """The mean number of solves the Newton polish makes per minimisation, a
+    batch of one at a time, on the 20 x 20 SEMI lattices."""
+
+    @pytest.mark.parametrize("rho, bound", [(0.0, 3.0), (0.9, 1.6)])
+    def test_mean_solves(self, systems, monkeypatch, rho, bound):
+        polish, solve = inference._polish, inference._solve
+        state = {"polishing": False, "solves": 0}
+
+        def counted_polish(*args):
+            state["polishing"] = True
+            try:
+                return polish(*args)
+            finally:
+                state["polishing"] = False
+
+        def counted_solve(V, rhs):
+            state["solves"] += state["polishing"]
+            return solve(V, rhs)
+
+        monkeypatch.setattr(inference, "_polish", counted_polish)
+        monkeypatch.setattr(inference, "_solve", counted_solve)
+        sys_, B = lattice_rows(systems, f"SEMI {rho}")
+        for b in B:
+            minimize_cue(sys_, b, CFG)
+        assert state["solves"] / len(B) <= bound

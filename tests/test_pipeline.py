@@ -75,6 +75,22 @@ class TestLoadSeriesCsv:
         with pytest.raises(PipelineError, match="row 3: dates not increasing"):
             load_series_csv(p)
 
+    def test_dates_that_are_not_canonical_labels(self, tmp_path):
+        # padding, a blank row, a year below 1000 and non-ASCII digits are valid
+        # dates that differ from the canonical labels; the row walk reads them
+        p = _write(tmp_path, "a.csv", [" 0999Q4 ,1.5", "", "1000Q1,2.5"])
+        s = load_series_csv(p)
+        assert s.start == QuarterIndex(999, 4) and list(s.values) == [1.5, 2.5]
+        p = _write(tmp_path, "b.csv", ["\u0661\u0669\u0666\u0667Q4,1", "1968Q1,2"])
+        s = load_series_csv(p)
+        assert s.start == QuarterIndex(1967, 4) and list(s.values) == [1.0, 2.0]
+
+    def test_fault_after_blank_rows_names_the_row(self, tmp_path):
+        # row numbers count blank rows, as they did before the one-pass check
+        p = _write(tmp_path, "a.csv", ["1967Q1,1", "", "1967Q2,x"])
+        with pytest.raises(PipelineError, match="row 3: non-numeric"):
+            load_series_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(PipelineError, match="no such file"):
             load_series_csv(tmp_path / "nope.csv")
