@@ -79,60 +79,50 @@ def _ridge(V: np.ndarray) -> np.ndarray:
     return 1e-12 * V.trace(axis1=-2, axis2=-1) / V.shape[-1]
 
 
-def _solve_spd(V: np.ndarray, rhs: np.ndarray, context: str) -> tuple[np.ndarray, bool]:
-    """Solve V x = rhs for symmetric positive-definite V.
-
-    A Cholesky factorization decides definiteness and conditioning. When it
-    fails, or its smallest squared pivot is below the ridge 1e-12 * trace/k,
-    that ridge is added and the result flagged; a failure of the ridged V's
-    Cholesky is a hard error.
-    """
-    ridge = _ridge(V)
-    try:
-        if np.linalg.cholesky(V).diagonal().min() ** 2 >= ridge:
-            return np.linalg.solve(V, rhs), False
-    except np.linalg.LinAlgError:
-        pass
-    V = V + ridge * np.eye(V.shape[0])
-    try:
-        np.linalg.cholesky(V)
-        return np.linalg.solve(V, rhs), True
-    except np.linalg.LinAlgError:
-        raise SingularCovarianceError(
-            f"HAC covariance singular even after ridge ({context})"
-        ) from None
+def _ridge_step(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, singular) of (V + r I) x = rhs, r the ridge of each V of a stack:
+    one Cholesky to test every ridged V and one LU solve, x NaN where that
+    Cholesky fails too."""
+    with np.errstate(all="ignore"):
+        V = V + _ridge(V)[:, None, None] * np.eye(V.shape[-1])
+        singular = np.isnan(_umath_linalg.cholesky_lo(V)).any(axis=(-2, -1))
+        x = _umath_linalg.solve(V, rhs)
+    x[singular] = np.nan
+    return x, singular
 
 
 def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """`_solve_spd` for a stack of V: (x, flagged, singular), x NaN on singular rows."""
-    n = len(V)
-    # a V whose Cholesky fails has NaN pivots; one that passes is safe for LU
+    """V x = rhs for a stack of symmetric positive-definite V: (x, flagged, singular).
+
+    A Cholesky factorization decides definiteness and conditioning. Every V
+    whose Cholesky fails, or whose smallest squared pivot is below the ridge
+    1e-12 * trace/k, takes that ridge and is flagged, all in one
+    `_ridge_step`; a row whose ridged V fails its Cholesky too is singular
+    (and flagged), with x NaN.
+    """
     with np.errstate(all="ignore"):
+        # a V whose Cholesky fails has NaN pivots; one that passes is safe for LU
         pivots = _umath_linalg.cholesky_lo(V).diagonal(axis1=-2, axis2=-1)
-        if ((pivots * pivots).min(axis=-1) >= _ridge(V)).all():
-            return _umath_linalg.solve(V, rhs), np.zeros(n, bool), np.zeros(n, bool)
-    x, flagged, singular = np.full(rhs.shape, np.nan), np.zeros(n, bool), np.zeros(n, bool)
-    for i in range(n):
-        try:
-            x[i], flagged[i] = _solve_spd(V[i], rhs[i], context="")
-        except SingularCovarianceError:
-            singular[i] = True
+        flagged = ~((pivots * pivots).min(axis=-1) >= _ridge(V))
+        x = _umath_linalg.solve(V, rhs)
+    singular = np.zeros(len(V), bool)
+    if flagged.any():
+        x[flagged], singular[flagged] = _ridge_step(V[flagged], rhs[flagged])
     return x, flagged, singular
 
 
 def _solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """V x = rhs for a stack of V; a singular V takes `_solve_spd`'s ridge, or NaN past it."""
+    """V x = rhs for a stack of V by LU; a singular V takes `_ridge_step`, or NaN past it."""
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
             return _umath_linalg.solve(V, rhs)
         except FloatingPointError:  # a singular V
             pass
-    if V.ndim > 2:
-        return np.array([_solve(Vi, ri) for Vi, ri in zip(V, rhs)])
-    try:
-        return _solve_spd(V, rhs, context="")[0]
-    except SingularCovarianceError:
-        return np.full(rhs.shape, np.nan)
+    with np.errstate(all="ignore"):
+        x = _umath_linalg.solve(V, rhs)  # NaN where V is singular
+    bad = np.isnan(x).any(axis=(-2, -1))
+    x[bad] = _ridge_step(V[bad], rhs[bad])[0]
+    return x
 
 
 @dataclass(frozen=True)
@@ -301,7 +291,7 @@ class CUEKernel:
     def objectives(self, b: np.ndarray, d) -> np.ndarray:
         """The CUE objective (1/T) g' V^-1 g of every row and sample at (b, d), ... x n.
 
-        V is solved as by `_solve_spd`, with its ridge where V is ill-conditioned,
+        V is solved by `_solve_spd_rows`, with its ridge where V is ill-conditioned,
         and the objective is NaN where V is singular even after the ridge.
         """
         u, uu = self._u(b, d)
@@ -335,8 +325,10 @@ def cue_objective(
     if b.shape != (sys.Y.shape[1],):
         raise ValueError(f"b has shape {b.shape}, expected ({sys.Y.shape[1]},)")
     g, _, V, _, _ = cue_kernel(sys, cfg).forms(b, float(d))
-    x, flagged = _solve_spd(V[0], g[0], context=f"d={d!r}")
-    return float(g[0] @ x) / sys.T, flagged
+    x, flagged, singular = _solve_spd_rows(V, g[..., None])
+    if singular[0]:
+        raise SingularCovarianceError(f"HAC covariance singular even after ridge (d={d!r})")
+    return float(g[0] @ x[0, :, 0]) / sys.T, bool(flagged[0])
 
 
 #: Coefficient rows minimised together; bounds the memory of the stacked scan

@@ -36,9 +36,9 @@ from eulergmm.inference import (
     SingularCovarianceError,
     TestResult,
     _solve,
-    _solve_spd,
     qll_s_statistic as library_qll_s_statistic,
 )
+from spd_reference import solve_spd
 
 
 def direct_moments(sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig):
@@ -49,7 +49,7 @@ def direct_moments(sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig):
 
 def cue_objective(sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig) -> tuple[float, bool]:
     g, V = direct_moments(sys, b, d, cfg)
-    x, flagged = _solve_spd(V, g, context=f"d={d!r}")
+    x, flagged = solve_spd(V, g, context=f"d={d!r}")
     return float(g @ x) / sys.T, flagged
 
 
@@ -63,7 +63,7 @@ def _seed_d(sys: MomentSystem, b: np.ndarray, cfg: HACConfig) -> tuple[float, fl
         Wa = np.linalg.pinv(ZZ) @ np.column_stack([a, c])
     d1 = float(c @ Wa[:, 0]) / float(c @ Wa[:, 1])
     _, V = direct_moments(sys, b, d1, cfg)
-    sol, _ = _solve_spd(V, np.column_stack([a, c]), context=f"two-step seed d={d1!r}")
+    sol, _ = solve_spd(V, np.column_stack([a, c]), context=f"two-step seed d={d1!r}")
     denom = float(c @ sol[:, 1])
     if denom <= 0:
         return d1, max(1.0, abs(d1))

@@ -11,8 +11,9 @@ import numpy as np
 
 from eulergmm.design import MomentSystem
 from eulergmm.hac import HACConfig, hac_variance
-from eulergmm.inference import SplitSpec, TestResult, _solve_spd
+from eulergmm.inference import SplitSpec, TestResult
 from eulergmm.quantiles import chi2_quantile
+from spd_reference import solve_spd
 
 
 def _coeff_vector(theta0, sys: MomentSystem) -> np.ndarray:
@@ -68,7 +69,7 @@ def split_sample_s_statistic(
     v = What2 * resid2[:, None]  # T2 x n_p per-observation contributions
     s = v.sum(axis=0)
     Omega = hac_variance(v, cfg)
-    x, _ = _solve_spd(Omega, s, context="split-sample Omega")
+    x, _ = solve_spd(Omega, s, context="split-sample Omega")
     stat = float(s @ x) / T2
 
     crit = chi2_quantile(n_p, level)

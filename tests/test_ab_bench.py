@@ -1,0 +1,52 @@
+"""`tools/ab_bench.py`'s verdicts on synthetic runs, without running the benchmark."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
+_SPEC = importlib.util.spec_from_file_location("ab_bench", _PATH)
+ab_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_bench)
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}
+RATE = {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
+
+
+def verdict(metric, parent, change):
+    runs = {side: [{"metrics": {metric["name"]: {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    (row,) = ab_bench.verdicts(runs, [metric])
+    return row
+
+
+TIGHT = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98]
+WIDE = [0.60, 0.80, 1.00, 1.20, 1.40, 1.00]
+
+
+@pytest.mark.parametrize("metric, parent, change, expected", [
+    # the change's median 30 % worse, beyond the 24 % bound
+    (WALL, TIGHT, [1.30, 1.31, 1.29, 1.30, 1.28, 1.32], "worse"),
+    (RATE, TIGHT, [0.70, 0.71, 0.69, 0.70, 0.72, 0.68], "worse"),
+    # 5 % worse, with the parent's quartiles 2 % apart
+    (WALL, TIGHT, [1.05, 1.04, 1.06, 1.05, 1.05, 1.05], "within bound"),
+    (RATE, TIGHT, [0.95, 0.96, 0.94, 0.95, 0.95, 0.95], "within bound"),
+    # the parent's quartiles 50 % apart: a median that did not move resolves nothing
+    (WALL, WIDE, [1.00, 0.90, 1.10, 1.00, 0.95, 1.05], "unresolved"),
+    (RATE, WIDE, [1.00, 0.90, 1.10, 1.00, 0.95, 1.05], "unresolved"),
+    # unless every run of the change beats every run of the parent
+    (WALL, WIDE, [0.50, 0.55, 0.58, 0.52, 0.51, 0.56], "within bound"),
+    (RATE, WIDE, [1.50, 1.45, 1.42, 1.48, 1.49, 1.44], "within bound"),
+    # a median worse by more than the bound is worse whatever the spread
+    (WALL, WIDE, [1.30, 1.35, 1.40, 1.25, 1.45, 1.30], "worse"),
+])
+def test_regression_verdict(metric, parent, change, expected):
+    assert verdict(metric, parent, change)["regression"] == expected
+
+
+def test_gain_rule_beside_the_verdict():
+    row = verdict(RATE, TIGHT, [1.30, 1.31, 1.29, 1.30, 1.28, 1.32])
+    assert row["gain"] and row["regression"] == "within bound"
+    assert row["wins"] == {"change": 6, "parent": 0, "ties": 0}
+    assert not verdict(RATE, WIDE, [1.00, 0.90, 1.10, 1.00, 0.95, 1.05])["gain"]

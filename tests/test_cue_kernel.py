@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import cue_reference as ref
+import spd_reference
 from eulergmm import inference
 from eulergmm.design import BASELINE_INSTRUMENTS, MomentSystem, build_design
 from eulergmm.grids import (
@@ -288,6 +290,78 @@ class TestAgainstReference:
         results = s_statistics([np.array([b]) for b in np.linspace(-2.0, 2.0, 70)],
                                repeated_instrument_system(), HACConfig(bandwidth=2))
         assert [getattr(r, "ridge_flagged", r) for r in results] == [True] * 70
+
+    def test_ridge_step_is_stacked(self, monkeypatch):
+        # the 70 flagged points of `test_ridge_flagged_by_conditioning` make
+        # no more single-matrix LAPACK calls (np.linalg's, or its gufuncs on
+        # one matrix) than one of them: the ridge is one step over the stack
+        calls = {"n": 0}
+
+        def counted(gufunc):
+            def call(a, *args, **kwargs):
+                calls["n"] += np.ndim(a) == 2
+                return gufunc(a, *args, **kwargs)
+            return call
+
+        for name in ("cholesky_lo", "solve", "solve1"):
+            monkeypatch.setattr(_umath_linalg, name, counted(getattr(_umath_linalg, name)))
+        counts = []
+        for points in (np.linspace(-2.0, 2.0, 70)[:1], np.linspace(-2.0, 2.0, 70)):
+            calls["n"] = 0
+            results = s_statistics([np.array([b]) for b in points],
+                                   repeated_instrument_system(), HACConfig(bandwidth=2))
+            assert all(r.ridge_flagged for r in results)
+            counts.append(calls["n"])
+        assert counts[1] <= counts[0]
+
+
+class TestStackedRidge:
+    """`_solve_spd_rows` and `_solve` on a stack that mixes well-conditioned,
+    ill-conditioned, exactly singular, zero and indefinite matrices give, row
+    by row, the bits of the per-matrix reference solve (`spd_reference`)."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(5)
+        out = []
+        for _ in range(3):
+            A = rng.normal(size=(4, 4))
+            well = A @ A.T + np.eye(4)
+            # smallest squared pivot 1e-14: Cholesky and LU succeed, below the ridge
+            L = np.tril(rng.normal(size=(4, 4)), -1) + np.diag([1.0, 1.5, 2.0, 1e-7])
+            ill = L @ L.T
+            # the last row and column repeat the first: LU fails, the ridge holds
+            rep = well.copy()
+            rep[3], rep[:, 3] = rep[0], rep[:, 0]
+            rep[3, 3] = rep[0, 0]
+            # Cholesky fails with and without the ridge on both; LU solves
+            # the indefinite one and fails on zero
+            out += [well, ill, rep, np.zeros((4, 4)), np.diag([2.0, 1.0, 1.0, -1.0])]
+        order = rng.permutation(len(out))
+        return np.array(out)[order], rng.normal(size=(len(out), 4, 2))
+
+    def test_solve_spd_rows(self):
+        V, rhs = self.stack()
+        x, flagged, singular = inference._solve_spd_rows(V, rhs)
+        for i in range(len(V)):
+            try:
+                ref_x, ref_flagged = spd_reference.solve_spd(V[i], rhs[i], context="")
+            except inference.SingularCovarianceError:
+                ref_x, ref_flagged = np.full(rhs[i].shape, np.nan), True
+            assert singular[i] == np.isnan(ref_x).all()
+            assert flagged[i] == ref_flagged
+            assert np.array_equal(x[i], ref_x, equal_nan=True)
+        # each kind of V is in the stack: plain, ridged, and singular past the ridge
+        assert set(zip(flagged.tolist(), singular.tolist())) == \
+            {(False, False), (True, False), (True, True)}
+
+    def test_solve(self):
+        V, rhs = self.stack()
+        # a scan's stack has two batch axes
+        x = inference._solve(V.reshape(3, 5, 4, 4), rhs.reshape(3, 5, 4, 2)).reshape(rhs.shape)
+        ref_x = np.array([spd_reference.solve(Vi, ri) for Vi, ri in zip(V, rhs)])
+        assert np.array_equal(x, ref_x, equal_nan=True)
+        assert np.isnan(x).all(axis=(1, 2)).sum() == 3
 
 
 def lattice_rows(systems, case):

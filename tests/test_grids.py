@@ -198,6 +198,18 @@ class TestSummaryAndExport:
         with pytest.raises(ValueError, match="zero.csv: empty file"):
             read_grid_csv(zero)
 
+    def test_read_ragged_row_names_the_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b,stat\n1,2,3\n\n4,5\n")
+        with pytest.raises(ValueError, match=r"ragged.csv: row 3: 2 fields, expected 3"):
+            read_grid_csv(path)
+
+    def test_read_non_numeric_cell_names_the_cell(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("a,b,stat\n1,2,nan\n4,5,x6\n")
+        with pytest.raises(ValueError, match=r"text.csv: row 2: non-numeric value 'x6'"):
+            read_grid_csv(path)
+
     def test_export_is_strict_json(self, tmp_path):
         # NaN, Infinity and -Infinity are not JSON; json.loads accepts them
         # unless parse_constant says otherwise

@@ -10,7 +10,12 @@ end-to-end metric of that file it prints each side's median and quartiles
 over the pairs, the change's wins, the parent's wins and the ties, and
 whether the change counts as a gain: it wins at least nine tenths of the
 pairs, and the medians differ by more than the distance between the
-parent's quartiles. A run that is not correct, that counts failed
+parent's quartiles. Beside it stands the metric's regression verdict
+against its `bound` (a fraction of the parent's median): "worse" when the
+change's median is worse than the parent's by more than the bound,
+"unresolved" when the parent's quartiles lie further apart than the bound
+and not every change run beats every parent run, and "within bound"
+otherwise. A run that is not correct, that counts failed
 operations or that exits non-zero is reported as not clean, and the script
 exits 1 after the last pair; a pair with a run that gave no metrics is left
 out of the verdicts.
@@ -52,7 +57,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def verdicts(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
-    """Per metric: both sides' quartiles, the wins of each side, and the gain rule."""
+    """Per metric: both sides' quartiles, the wins of each side, the gain rule
+    and the regression verdict."""
     out = []
     for m in end_to_end:
         name, higher = m["name"], m["better"] == "higher"
@@ -65,12 +71,22 @@ def verdicts(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
                 wins["change" if (c > p) == higher else "parent"] += 1
         (p1, pm, p3), (c1, cm, c3) = quartiles(vals["parent"]), quartiles(vals["change"])
         better = cm > pm if higher else cm < pm
+        bound = m["bound"] * abs(pm)
+        if (pm - cm if higher else cm - pm) > bound:
+            regression = "worse"
+        elif p3 - p1 > bound and not (
+                min(vals["change"]) > max(vals["parent"]) if higher
+                else max(vals["change"]) < min(vals["parent"])):
+            regression = "unresolved"
+        else:
+            regression = "within bound"
         out.append({
             "name": name, "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": [p1, pm, p3], "change": [c1, cm, c3], "wins": wins,
             "ratio": cm / pm if pm else float("nan"),
             "gain": better and wins["change"] >= 0.9 * len(vals["parent"])
             and abs(cm - pm) > p3 - p1,
+            "regression": regression,
         })
     return out
 
@@ -110,7 +126,7 @@ def main() -> int:
         (p1, pm, p3), (c1, cm, c3), w = r["parent"], r["change"], r["wins"]
         print(f"  {r['name']:<12} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
               f"change {cm:.6g} [{c1:.6g}, {c3:.6g}] {r['unit']}  "
-              f"x{r['ratio']:.3f}  {w['change']}:{w['parent']}:{w['ties']}"
+              f"x{r['ratio']:.3f}  {w['change']}:{w['parent']}:{w['ties']}  {r['regression']}"
               + ("  gain" if r["gain"] else ""))
     bad = [f"{side} pair {i + 1}: " + (f"exited with {r['exit']}" if r["metrics"] is None
                                         else f"correct={r['correct']} failed={r['failed']}")
