@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -30,6 +31,9 @@ class AxisSpec:
             if not math.isfinite(getattr(self, end)):
                 raise ValueError(f"axis {self.name!r} {end} bound is not finite: "
                                  f"{getattr(self, end)!r}")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"axis {self.name!r} point count must be an integer, "
+                             f"got {self.points!r}")
         if self.points < 2:
             raise ValueError(f"axis {self.name!r} needs >= 2 points, got {self.points}")
         if self.upper <= self.lower:

@@ -357,28 +357,41 @@ def _newton_work(g1: np.ndarray, V2: np.ndarray, m: int) -> np.ndarray:
     return work
 
 
+#: (q, dq, d2q, d3q) as a map of `_newton_terms`'s scalar products: rows
+#: [x | y]'[g | g1] (x'g, x'g1, y'g, y'g1), then [x | y]'{V', V2}[x | y]
+#: (x'V'x, x'V'y, x'V2 x, x'V2 y, y'V'x, y'V'y, y'V2 x, y'V2 y).
+_TERMS = np.zeros((12, 4))
+_TERMS[0, 0] = 1.0
+_TERMS[[1, 4], 1] = 2.0, -1.0
+_TERMS[[3, 5, 6], 2] = 2.0, -2.0, -2.0
+_TERMS[[7, 9], 3] = -12.0, -6.0
+
+
 def _newton_terms(g0, V0, V1, V2, r: np.ndarray, work: np.ndarray):
     """(q, dq, d2q, d3q): q(t) = g'V^-1 g and its t-derivatives at t = r, every row.
 
     With x = V^-1 g, h = g1 - V'x and y = V^-1 h = dx/dt,
     dq = 2 g1'x - x'V'x, d2q = 2 h'y - 2 x'V2 x and d3q = -6 (2 x'V2 y + y'V'y).
     One solve of V against [g | g1 | V'] gives x and y = V^-1 g1 - V^-1 V' x,
-    and one product of [x | y] with `work` = [g | g1 | V' | V2] (`_newton_work`)
-    every scalar product the derivatives need.
+    one product of [x | y] with `work` = [g | g1 | V' | V2] (`_newton_work`)
+    every scalar product the derivatives need, and one product of those with
+    `_TERMS` the four terms.
     """
     m, k = g0.shape
     rr = r[:, None, None]
-    A = V1 + rr * V2
-    work[..., 0] = g0 + r[:, None] * work[..., 1]
-    np.add(A, rr * V2, out=work[..., 2:k + 2])
+    rV2 = rr * V2
+    A = V1 + rV2
+    np.multiply(r[:, None], work[..., 1], out=work[..., 0])
+    work[..., 0] += g0
+    np.add(A, rV2, out=work[..., 2:k + 2])
     sol = _solve(V0 + rr * A, work[..., :k + 2])
     xy = sol[..., :2]
     xy[..., 1:] -= sol[..., 2:] @ xy[..., :1]
     P = xy.swapaxes(-1, -2) @ work  # [x | y]' [g | g1 | V' | V2]
-    Q = P[..., 2:].reshape(m, 2, 2, k) @ xy[:, None]  # [x | y]' {V', V2} [x | y]
-    return (P[:, 0, 0], 2.0 * P[:, 0, 1] - Q[:, 0, 0, 0],
-            2.0 * (P[:, 1, 1] - Q[:, 0, 0, 1] - Q[:, 0, 1, 0]),
-            -6.0 * (2.0 * Q[:, 0, 1, 1] + Q[:, 1, 0, 1]))
+    dots = np.empty((m, 1, 12))
+    dots[:, 0, :4].reshape(m, 2, 2)[...] = P[..., :2]
+    np.matmul(P[..., 2:].reshape(m, 2, 2, k), xy[:, None], out=dots[:, 0, 4:].reshape(m, 2, 2, 2))
+    return (dots @ _TERMS)[:, 0].T
 
 
 def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
@@ -408,6 +421,7 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
     r = ((S[:, None, :] / D).prod(axis=-1) * t[rows[:, None], nodes]).sum(axis=-1)
     r = np.fmin(np.fmax(r, lo), hi)
     live, tol = np.arange(rows.size), NEWTON_XTOL * se[rows]
+    half_tol = 0.5 * tol
     last = older = hi - lo  # sizes of the last two steps
     g0, V0, V1, work = g0[rows], V0[rows], V1[rows], _newton_work(g1, V2, rows.size)
     for step in range(_NEWTON_STEPS if rows.size else 0):
@@ -420,22 +434,85 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
         new = np.where(newton, new, 0.5 * (lo + hi))
         older, last = last, np.abs(new - r)
         # a Newton step whose predicted error |d3q / (2 d2q)| dt^2 is below tol / 4
-        close = newton & (np.abs(third * dt * dt) < 0.5 * tol * np.abs(curve))
+        close = newton & (np.abs(third * dt * dt) < half_tol * np.abs(curve))
         going = (last > tol) & ~close
         if step == _NEWTON_STEPS - 1:
             going[:] = False
         elif going.all():
             r = new
             continue
-        stop = ~going
-        roots[live[stop]] = new[stop]
-        q[live[stop]] = np.where(newton, qr - 0.5 * slope * dt, qr)[stop]
+        q_new = np.where(newton, qr - 0.5 * slope * dt, qr)
         if not going.any():
+            roots[live], q[live] = new, q_new
             break
-        live, r, lo, hi, tol, older, last, g0, V0, V1, work = (
-            a[going] for a in (live, new, lo, hi, tol, older, last, g0, V0, V1, work)
+        stop = ~going
+        roots[live[stop]], q[live[stop]] = new[stop], q_new[stop]
+        live, r, lo, hi, tol, half_tol, older, last, g0, V0, V1, work = (
+            a[going] for a in (live, new, lo, hi, tol, half_tol, older, last, g0, V0, V1, work)
         )
     return rows, roots, q
+
+
+def _systems(forms: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """[V(t) | g(t)] of every row and node, k x (k+1) x rows x nodes, from the
+    rows' forms [V0 | g0; V1 | g1; V2 | 0] (rows x 3 x k x (k+1)) and powers
+    [1; t; t^2] (rows x 3 x nodes): one product per row, written in place."""
+    n, _, k, k1 = forms.shape
+    A = np.empty((k, k1, n, powers.shape[-1]))
+    np.matmul(forms.reshape(n, 3, -1).swapaxes(1, 2), powers,
+              out=A.reshape(k * k1, n, -1).swapaxes(0, 1))
+    return A
+
+
+def _scan(g0, g1, V0, V1, V2, t: np.ndarray):
+    """(x, s, q_ends): x = V(t)^-1 g(t) at every row and node (k x rows x
+    nodes), the slope s = dq/dt there (rows x nodes), and q = g'x at the
+    first and last node (rows x 2).
+
+    The augmented systems [V | g] of all rows and nodes are one stack
+    (`_systems`), eliminated without pivoting, LDL' since V is a
+    positive-semidefinite HAC: each step is one elementwise operation over the
+    whole stack, and x is read from the augmented column. A node whose
+    smallest pivot is below `_solve_spd_rows`'s ridge 1e-12 trace/k, or NaN, is
+    solved again by `_solve`. The slope 2 g1'x - x'V1 x - 2 t x'V2 x takes one
+    product per row of [V1; V2] with x. No step is a product across rows, so a
+    row's numbers do not depend on the rest of its batch. A zero pivot divides
+    by zero: the caller ignores those floating-point errors.
+    """
+    (n, m), k = t.shape, g0.shape[1]
+    forms = np.zeros((n, 3, k, k + 1))
+    forms[:, 0, :, :k], forms[:, 0, :, k] = V0, g0
+    forms[:, 1, :, :k], forms[:, 1, :, k] = V1, g1
+    forms[:, 2, :, :k] = V2
+    powers = np.empty((n, 3, m))
+    powers[:, 0], powers[:, 1] = 1.0, t
+    np.multiply(t, t, out=powers[:, 2])
+    A = _systems(forms, powers)
+    g_ends = A[:, k, :, ::m - 1].copy()
+    diag = A.reshape(k * (k + 1), n, m)[::k + 2]  # A[i, i], the pivots once eliminated
+    ridge = diag.sum(axis=0) * (1e-12 / k)
+    for j in range(k - 1):
+        row = A[j, j + 1:]
+        row /= A[j, j]
+        A[j + 1:, j + 1:] -= A[j + 1:, j, None] * row
+    A[k - 1, k] /= A[k - 1, k - 1]
+    x = A[:, k]
+    for j in range(k - 1, 0, -1):
+        x[:j] -= A[:j, j] * x[j]
+    ok = diag >= ridge
+    if not ok.all():
+        rows, nodes = (~ok.all(axis=0)).nonzero()
+        own, at = np.unique(rows, return_inverse=True)
+        S = np.moveaxis(_systems(forms[own], powers[own])[:, :, at, nodes], -1, 0)
+        x[:, rows, nodes] = _solve(S[..., :k], S[..., k:])[..., 0].T
+    W = np.empty((2 * k, n, m))  # [V1 x; V2 x]
+    np.matmul(forms[:, 1:, :, :k].reshape(n, 2 * k, k), x.swapaxes(0, 1), out=W.swapaxes(0, 1))
+    Vx = W[k:]
+    Vx *= 2.0 * t
+    Vx += W[:k]
+    np.subtract(2.0 * g1[:, None, None], Vx, out=Vx)
+    Vx *= x
+    return x, Vx.sum(axis=0), (g_ends * x[:, :, ::m - 1]).sum(axis=0)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -476,22 +553,10 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
     # of those minima and the two bracket ends
     t = t0[:, None] + se[:, None] * _SCAN
-    # every node's V(t) and g(t) in one product per row each:
-    # [1, t, t^2] @ [V0; V1; V2] and [1, t] @ [g0; g1]
-    n, k = g0.shape
-    powers = np.empty(t.shape + (3,))
-    powers[..., 0], powers[..., 1] = 1.0, t
-    np.multiply(t, t, out=powers[..., 2])
-    forms, g_forms = np.empty((n, 3, k, k)), np.empty((n, 2, k))
-    forms[:, 0], forms[:, 1], forms[:, 2] = V0, V1, V2
-    g_forms[:, 0], g_forms[:, 1] = g0, g1
-    g = powers[..., :2] @ g_forms
-    x = _solve((powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k)), g[..., None])[..., 0]
-    s = 2.0 * x @ g1 - ((x @ V1) * x).sum(-1) - 2.0 * t * ((x @ V2) * x).sum(-1)
+    _, s, q_ends = _scan(g0, g1, V0, V1, V2, t)
     rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)
     # candidates in the order both ends, then the roots, so ties keep the first
-    ends = CUE_SCAN_POINTS - 1
-    q_ends = (g[:, ::ends] * x[:, ::ends]).sum(axis=-1)
+    n = len(t)
     ar = np.arange(n)
     owner = np.concatenate([ar, ar, rows])
     cand_q = np.concatenate([q_ends[:, 0], q_ends[:, 1], q_roots])

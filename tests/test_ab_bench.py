@@ -50,3 +50,12 @@ def test_gain_rule_beside_the_verdict():
     assert row["gain"] and row["regression"] == "within bound"
     assert row["wins"] == {"change": 6, "parent": 0, "ties": 0}
     assert not verdict(RATE, WIDE, [1.00, 0.90, 1.10, 1.00, 0.95, 1.05])["gain"]
+
+
+def test_pair_ratios():
+    # the change/parent ratio of every pair, in pair order, and their median
+    row = verdict(WALL, [1.0, 2.0, 4.0, 1.0], [0.5, 3.0, 2.0, 1.0])
+    assert row["pair_ratios"] == [0.5, 1.5, 0.5, 1.0]
+    assert row["pair_ratio"] == 0.75
+    # the ratio of the two sides' medians is another number
+    assert row["ratio"] == 1.0

@@ -26,6 +26,7 @@ from eulergmm.grids import (
 from eulergmm.hac import HACConfig, hac_variance
 from eulergmm.inference import (
     BATCH_CHUNK,
+    CUE_SCAN_POINTS,
     NEWTON_XTOL,
     QLL_BREAK_FRACTIONS,
     _minimize_rows,
@@ -432,6 +433,147 @@ class TestStepStopOracle:
         assert d2q == pytest.approx((f(h) - 2.0 * f(0.0) + f(-h)) / h**2, rel=2e-5)
         assert d3q == pytest.approx(
             (f(2 * h) - 2.0 * f(h) + 2.0 * f(-h) - f(-2 * h)) / (2.0 * h**3), rel=5e-4)
+
+
+def scan_calls(monkeypatch, kern, B, T):
+    """The arguments and results of every `_scan` call `_minimize_rows` makes on
+    the rows B, BATCH_CHUNK rows or fewer at a time."""
+    calls, scan = [], inference._scan
+
+    def spy(*args):
+        out = scan(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(inference, "_scan", spy)
+    for lo in range(0, len(B), BATCH_CHUNK):
+        _minimize_rows(kern, B[lo:lo + BATCH_CHUNK], T)
+    monkeypatch.setattr(inference, "_scan", scan)
+    return calls
+
+
+def node_systems(g0, g1, V0, V1, V2, t):
+    """(V, g) at every row and node, rows x nodes x ..., as the scan before the
+    elimination formed them: one product per row of [1, t, t^2] with [V0; V1; V2]."""
+    (n, m), k = t.shape, g0.shape[1]
+    powers = np.stack([np.ones_like(t), t, t * t], axis=-1)
+    forms = np.stack([V0, V1, np.broadcast_to(V2, V0.shape)], axis=1).reshape(n, 3, -1)
+    g_forms = np.stack([g0, np.broadcast_to(g1, g0.shape)], axis=1)
+    return (powers @ forms).reshape(n, m, k, k), powers[..., :2] @ g_forms
+
+
+def slope(x, g1, V1, V2, t):
+    """The earlier scan's slope 2 g1'x - x'V1 x - 2 t x'V2 x of x (rows x nodes x k),
+    and its size: the same sums over the products' absolute values, which
+    bound its rounding error in units of the machine epsilon."""
+    def terms(x, g1, V1, V2, t):
+        return 2.0 * x @ g1, ((x @ V1) * x).sum(-1), 2.0 * t * ((x @ V2) * x).sum(-1)
+
+    a, b, c = terms(x, g1, V1, V2, t)
+    return a - b - c, sum(terms(*(np.abs(v) for v in (x, g1, V1, V2, t))))
+
+
+class TestScan:
+    """`_scan`, the stacked LDL' elimination of every row's and node's [V | g],
+    against per-node LAPACK solves, its `_solve` fallback and itself in a batch
+    of one."""
+
+    @pytest.mark.parametrize("case", ["IAC", "SEMI 0", "SEMI 0.9"])
+    def test_matches_per_node_solve(self, systems, monkeypatch, case):
+        # a 64-row IAC chunk, and single SEMI rows (batches of one)
+        sys_, B = lattice_rows(systems, case)
+        kern = cue_kernel(sys_, CFG)
+        if case == "IAC":
+            calls = scan_calls(monkeypatch, kern, B[:BATCH_CHUNK], sys_.T)
+        else:
+            calls = [c for b in B[::40] for c in scan_calls(monkeypatch, kern, b[None], sys_.T)]
+        for (g0, g1, V0, V1, V2, t), (x, s, q_ends) in calls:
+            V, g = node_systems(g0, g1, V0, V1, V2, t)
+            x = x.transpose(1, 2, 0)
+            ref = np.linalg.solve(V, g[..., None])[..., 0]
+            size = np.abs(ref).max(axis=-1)
+            # every node's V has a condition number of 1e6 to 1e7 here: x is
+            # within LU's own error bound (cond(V) eps) of LU's x, and its
+            # residual is as small as LU's
+            assert np.all(np.abs(x - ref).max(axis=-1) <= 1e-15 * np.linalg.cond(V) * size)
+            residual = np.abs((V @ x[..., None])[..., 0] - g).max(axis=-1)
+            assert np.all(residual <= 1e-15 * np.abs(V).max(axis=(-2, -1)) * size)
+            expected, scale = slope(x, g1, V1, V2, t)
+            assert np.all(np.abs(s - expected) <= 1e-14 * scale)
+            ends = (g * x)[:, ::CUE_SCAN_POINTS - 1].sum(axis=-1)
+            assert q_ends == pytest.approx(ends, rel=1e-12, abs=0)
+
+    def test_well_conditioned_nodes(self, monkeypatch):
+        # V(t) = V0 + t V1 + t^2 V2 with condition numbers below 100 at every node
+        rng = np.random.default_rng(2)
+        k, n = 5, BATCH_CHUNK
+        A = rng.normal(size=(n, k, k))
+        V0 = A @ A.swapaxes(-1, -2) / k + np.eye(k)
+        V1 = 0.1 * (A + A.swapaxes(-1, -2))
+        V2 = 0.5 * np.eye(k)
+        g0, g1 = rng.normal(size=(n, k)), rng.normal(size=k)
+        t = rng.uniform(-1.0, 1.0, size=(n, CUE_SCAN_POINTS))
+        monkeypatch.setattr(inference, "_solve", lambda *a: pytest.fail("a node below the floor"))
+        x, s, _ = inference._scan(g0, g1, V0, V1, V2, t)
+        V, g = node_systems(g0, g1, V0, V1, V2, t)
+        assert np.linalg.cond(V).max() < 100.0
+        ref = np.linalg.solve(V, g[..., None])[..., 0]
+        error = np.abs(x.transpose(1, 2, 0) - ref).max(axis=-1)
+        assert np.all(error <= 1e-12 * np.abs(ref).max(axis=-1))
+        expected, scale = slope(ref, g1, V1, V2, t)
+        assert np.all(np.abs(s - expected) <= 1e-12 * scale)
+
+    def test_nodes_below_the_floor_take_solve(self, monkeypatch):
+        # a stack of fixed V (V1 = V2 = 0): well-conditioned, ill-conditioned,
+        # exactly singular, zero and indefinite. All but the first kind are
+        # below the floor at every node, and their x are `_solve`'s bits.
+        V0, rhs = TestStackedRidge.stack()
+        n, k = len(V0), V0.shape[-1]
+        g0, t = rhs[..., 0], np.linspace(-1.0, 1.0, CUE_SCAN_POINTS) * np.ones((n, 1))
+        solved, solve = [], inference._solve
+
+        def spy(V, b):
+            solved.append(len(V))
+            return solve(V, b)
+
+        monkeypatch.setattr(inference, "_solve", spy)
+        with np.errstate(all="ignore"):
+            x, _, _ = inference._scan(g0, np.zeros(k), V0, np.zeros_like(V0), np.zeros((k, k)), t)
+        well = np.linalg.eigvalsh(V0).min(axis=-1) > 1e-3 * np.abs(V0).max(axis=(-2, -1))
+        assert solved == [(~well).sum() * CUE_SCAN_POINTS]
+        for i in range(n):
+            if well[i]:
+                ref = np.linalg.solve(V0[i], g0[i])
+                assert np.abs(x[:, i] - ref[:, None]).max() <= 1e-12 * np.abs(ref).max()
+            else:
+                ref = solve(V0[i][None], g0[i][None, :, None])[0, :, 0]
+                assert np.array_equal(x[:, i], np.repeat(ref[:, None], CUE_SCAN_POINTS, 1),
+                                      equal_nan=True)
+
+    def test_repeated_instrument_nodes_take_solve(self, monkeypatch):
+        # V is singular at every node of the system of
+        # `test_ridge_flagged_by_conditioning`: every node is below the floor,
+        # and x is `_solve`'s bits on the systems the scan formed
+        sys_ = repeated_instrument_system()
+        B = np.linspace(-2.0, 2.0, BATCH_CHUNK)[:, None]
+        kern = cue_kernel(sys_, HACConfig(bandwidth=2))
+        ((args, (x, s, _)),) = scan_calls(monkeypatch, kern, B, sys_.T)
+        g0, g1, V0, V1, V2, t = args
+        V, g = node_systems(*args)
+        ref = inference._solve(V, g[..., None])[..., 0]
+        assert np.array_equal(x.transpose(1, 2, 0), ref)
+        expected, scale = slope(ref, g1, V1, V2, t)
+        assert np.all(np.abs(s - expected) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("case", ["IAC", "SEMI 0"])
+    def test_row_alone_equals_row_in_stack(self, systems, monkeypatch, case):
+        sys_, B = lattice_rows(systems, case)
+        ((args, stacked),) = scan_calls(monkeypatch, cue_kernel(sys_, CFG), B[:BATCH_CHUNK], sys_.T)
+        g0, g1, V0, V1, V2, t = args
+        for i in range(0, BATCH_CHUNK, 7):
+            alone = inference._scan(g0[i:i + 1], g1, V0[i:i + 1], V1[i:i + 1], V2, t[i:i + 1])
+            for a, b in zip(alone, stacked):
+                assert np.array_equal(a, b[:, i:i + 1] if a.ndim == 3 else b[i:i + 1])
 
 
 class TestPolishSolveCount:

@@ -62,6 +62,16 @@ class TestAxisSpec:
         with pytest.raises(ValueError, match="upper"):
             AxisSpec("a", 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("points", [2.5, 3.0, True, "3", None])
+    def test_point_count_must_be_an_integer(self, points):
+        # 2.5 points would put a lattice point above the upper bound
+        with pytest.raises(ValueError, match=f"axis 'x' point count must be an integer, "
+                                             f"got {points!r}"):
+            AxisSpec("x", 0.0, 1.0, points)
+
+    def test_numpy_integer_point_count(self):
+        assert np.allclose(AxisSpec("x", 0.0, 1.0, np.int64(3)).values(), [0.0, 0.5, 1.0])
+
     @pytest.mark.parametrize("lower, upper, end", [
         (float("nan"), 1.0, "lower"), (0.0, float("nan"), "upper"),
         (-float("inf"), 1.0, "lower"), (0.0, float("inf"), "upper"),

@@ -7,8 +7,10 @@ both checkouts, each with its own benchmark files, the parent first in even
 pairs and the change first in odd ones, with seed i on both sides and the
 run length `run_seconds` of the parent's BENCHMARK.json. For every
 end-to-end metric of that file it prints each side's median and quartiles
-over the pairs, the change's wins, the parent's wins and the ties, and
-whether the change counts as a gain: it wins at least nine tenths of the
+over the pairs, the change/parent ratio of the two medians and the median
+of the pairs' own change/parent ratios (each pair's ratio on the line
+below), the change's wins, the parent's wins and the ties, and whether
+the change counts as a gain: it wins at least nine tenths of the
 pairs, and the medians differ by more than the distance between the
 parent's quartiles. Beside it stands the metric's regression verdict
 against its `bound` (a fraction of the parent's median): "worse" when the
@@ -63,6 +65,7 @@ def verdicts(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
     for m in end_to_end:
         name, higher = m["name"], m["better"] == "higher"
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        ratios = [c / p if p else float("nan") for p, c in zip(vals["parent"], vals["change"])]
         wins = {"change": 0, "parent": 0, "ties": 0}
         for p, c in zip(vals["parent"], vals["change"]):
             if p == c:
@@ -84,6 +87,7 @@ def verdicts(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
             "name": name, "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": [p1, pm, p3], "change": [c1, cm, c3], "wins": wins,
             "ratio": cm / pm if pm else float("nan"),
+            "pair_ratios": ratios, "pair_ratio": statistics.median(ratios),
             "gain": better and wins["change"] >= 0.9 * len(vals["parent"])
             and abs(cm - pm) > p3 - p1,
             "regression": regression,
@@ -121,13 +125,16 @@ def main() -> int:
     rows = verdicts({side: [runs[side][i] for i in pairs] for side in SIDES},
                     bench["end_to_end"]) if pairs else []
     print(f"{args.workload}: {len(pairs)} of {args.pairs} pairs of {seconds:g} s runs "
-          "compared; median [q1, q3]; wins change:parent:ties")
+          "compared; median [q1, q3]; change/parent: of the medians, median of the pairs; "
+          "wins change:parent:ties")
     for r in rows:
         (p1, pm, p3), (c1, cm, c3), w = r["parent"], r["change"], r["wins"]
         print(f"  {r['name']:<12} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
               f"change {cm:.6g} [{c1:.6g}, {c3:.6g}] {r['unit']}  "
-              f"x{r['ratio']:.3f}  {w['change']}:{w['parent']}:{w['ties']}  {r['regression']}"
+              f"x{r['ratio']:.3f}  pairs x{r['pair_ratio']:.3f}  "
+              f"{w['change']}:{w['parent']}:{w['ties']}  {r['regression']}"
               + ("  gain" if r["gain"] else ""))
+        print("    pair ratios: " + " ".join(f"{x:.3f}" for x in r["pair_ratios"]))
     bad = [f"{side} pair {i + 1}: " + (f"exited with {r['exit']}" if r["metrics"] is None
                                         else f"correct={r['correct']} failed={r['failed']}")
            for side in SIDES for i, r in enumerate(runs[side])
