@@ -19,7 +19,7 @@ from . import __version__, grids, snapshot
 from .config import ConfigError, RunConfig, parse_config
 from .design import MODELS, InstrumentSpec, build_design
 from .hac import HACConfig
-from .inference import SplitSpec, qll_s_statistics, s_statistics, split_sample_s_statistics
+from .inference import STATISTICS, SplitSpec
 from .models import ModelKind, constants_from_calibration
 from .pipeline import (
     Dataset,
@@ -134,13 +134,11 @@ def _evaluate_lattice(cfg: RunConfig, sys_, points) -> list:
             outcomes.append(None)
         except ValueError as exc:
             outcomes.append(exc)
-    hac = HACConfig(bandwidth=cfg.bandwidth)
-    if cfg.statistic == "split":
-        split = SplitSpec(first_fraction=cfg.split_fraction, gap=cfg.split_gap)
-        results = iter(split_sample_s_statistics(params, sys_, split, hac, cfg.level))
-    else:
-        batch = s_statistics if cfg.statistic == "S" else qll_s_statistics
-        results = iter(batch(params, sys_, hac, cfg.level))
+    layout = {}
+    if cfg.statistic == "split":  # the one test with layout keys
+        layout["split"] = SplitSpec(cfg.split_fraction, cfg.split_gap)
+    results = iter(STATISTICS[cfg.statistic](
+        params, sys_, cfg=HACConfig(bandwidth=cfg.bandwidth), level=cfg.level, **layout))
     return [next(results) if o is None else o for o in outcomes]
 
 
@@ -155,8 +153,7 @@ def cmd_grid(cfg: RunConfig, out_dir: str) -> int:
     }
     points = grids.make_grid(spec)
     result = grids.collect_results(
-        spec, cfg.level, points, _evaluate_lattice(cfg, sys_, points),
-        variant=cfg.statistic, metadata=metadata,
+        spec, cfg.level, points, _evaluate_lattice(cfg, sys_, points), metadata=metadata
     )
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path = grids.export_grid(result, os.path.join(out_dir, "grid"))

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .design import InstrumentSpec
 from .hac import HACConfig
-from .inference import SplitSpec
+from .inference import STATISTICS, SplitSpec
 from .models import ModelKind
 from .pipeline import EXTERNAL_COLUMNS, InvestmentMeasure, TransformSpec
 from .quarters import QuarterIndex
@@ -136,7 +136,8 @@ _KEYS = {
         _known_external),
     ("inference", "statistic"): (
         "statistic", str.strip, "",
-        lambda v: None if v in ("S", "qll", "split") else f"must be S, qll, or split, got {v!r}"),
+        lambda v: None if v in STATISTICS
+        else f"must be one of {', '.join(STATISTICS)}, got {v!r}"),
     ("inference", "level"): ("level", _finite, _NUMBER, _in_unit),
     ("inference", "bandwidth"): (
         "bandwidth", lambda v: v if v == "auto" else int(v),

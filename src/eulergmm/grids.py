@@ -136,14 +136,14 @@ def collect_results(
     level: float,
     points: np.ndarray,
     outcomes: Sequence,
-    variant: str = "S",
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
     """The confidence set from one TestResult, or the exception raised, per point.
 
-    A point whose outcome is an exception is recorded as rejected with its
-    error flag set; more than 50% failing points aborts the run, naming the
-    first 10 failures in lattice order.
+    The set takes its results' `variant` as its label; results of more than one
+    test are a ValueError. A point whose outcome is an exception is recorded as
+    rejected with its error flag set; more than 50% failing points aborts the
+    run, naming the first 10 failures in lattice order.
     """
     n = points.shape[0]
     stats = np.full(n, np.nan)
@@ -152,12 +152,14 @@ def collect_results(
     accepts = np.zeros(n, dtype=int)
     errors = np.zeros(n, dtype=int)
     messages: list[str] = []
+    variants = set()
     for i, r in enumerate(outcomes):
         if isinstance(r, Exception):
             errors[i] = 1
             if len(messages) < 10:
                 messages.append(f"point {points[i].tolist()}: {r}")
             continue
+        variants.add(r.variant)
         stats[i] = r.statistic
         dfs[i] = r.df
         crits[i] = r.critical_value
@@ -168,6 +170,8 @@ def collect_results(
             f"evaluator failed on {int(errors.sum())}/{n} lattice points; "
             "first failures: " + "; ".join(messages)
         )
+    if len(variants) > 1:
+        raise ValueError(f"results of more than one test: {', '.join(sorted(variants))}")
     return ConfidenceGrid(
         spec=spec,
         level=level,
@@ -177,7 +181,7 @@ def collect_results(
         crits=crits,
         accepts=accepts,
         errors=errors,
-        variant=variant,
+        variant=variants.pop() if variants else "S",
         metadata=dict(metadata or {}),
     )
 
@@ -186,7 +190,6 @@ def invert_test(
     evaluator: Callable[[np.ndarray], TestResult],
     spec: GridSpec,
     level: float,
-    variant: str = "S",
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
     """Evaluate the test at every lattice point and collect acceptance flags.
@@ -200,7 +203,7 @@ def invert_test(
             outcomes.append(evaluator(point))
         except Exception as exc:  # recorded, not fatal (unless >50% fail)
             outcomes.append(exc)
-    return collect_results(spec, level, points, outcomes, variant, metadata)
+    return collect_results(spec, level, points, outcomes, metadata)
 
 
 def set_summary(g: ConfidenceGrid) -> dict:

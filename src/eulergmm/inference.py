@@ -309,8 +309,18 @@ def cue_kernel(
     key = tuple((s.start, s.stop, cfg.resolve_bandwidth(s.stop - s.start)) for s in samples)
     kern = sys.cue_kernels.get(key)
     if kern is None:
+        if sys.k_x != 1:
+            raise ValueError(f"the CUE concentrates out a scalar constant only, got k_x={sys.k_x}")
         kern = sys.cue_kernels[key] = CUEKernel.build(sys, cfg, samples)
     return kern
+
+
+def _checked_b(b, sys: MomentSystem) -> np.ndarray:
+    """b as floats, refused unless it has one coefficient per column of Y."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (sys.Y.shape[1],):
+        raise ValueError(f"b has shape {b.shape}, expected ({sys.Y.shape[1]},)")
+    return b
 
 
 def cue_objective(
@@ -321,10 +331,7 @@ def cue_objective(
     V is the HAC of the moment rows demeaned at this d, read off the system's
     CUE kernel.
     """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (sys.Y.shape[1],):
-        raise ValueError(f"b has shape {b.shape}, expected ({sys.Y.shape[1]},)")
-    g, _, V, _, _ = cue_kernel(sys, cfg).forms(b, float(d))
+    g, _, V, _, _ = cue_kernel(sys, cfg).forms(_checked_b(b, sys), float(d))
     x, flagged, singular = _solve_spd_rows(V, g[..., None])
     if singular[0]:
         raise SingularCovarianceError(f"HAC covariance singular even after ridge (d={d!r})")
@@ -548,6 +555,8 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
                 f"HAC covariance singular even after ridge (two-step seed d={float(d1[i])!r})"
             )
         keep = np.flatnonzero(~singular)
+        if not keep.size:
+            return np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool), errors
         g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
 
     # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
@@ -599,7 +608,7 @@ def minimize_cue(
     the factorization of V at d_hat. This is a batch of one of the lattice
     path (`s_statistics`).
     """
-    B = np.asarray(b, dtype=float)[None]
+    B = _checked_b(b, sys)[None]
     stat, d_hat, flagged, errors = _minimize_rows(cue_kernel(sys, cfg), B, sys.T)
     if errors[0] is not None:
         raise errors[0]
@@ -619,7 +628,7 @@ def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
         try:
             if jacobian and isinstance(theta, np.ndarray):
                 raise ValueError("split-sample S needs model parameters, not a coefficient vector")
-            B[i] = theta if isinstance(theta, np.ndarray) else sys.coeff(theta)
+            B[i] = _checked_b(theta, sys) if isinstance(theta, np.ndarray) else sys.coeff(theta)
             if jacobian:
                 J[i] = np.asarray(sys.jacobian(theta), dtype=float)
         except Exception as exc:  # recorded on its own row
@@ -633,12 +642,14 @@ def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     A point whose coefficient map or minimisation fails carries its exception
     in `errors` and NaN elsewhere; the other points are unaffected. (A failed
     map leaves a NaN row, which the minimisation records as singular; the
-    map's own error is the one kept.)
+    map's own error is the one kept.) The system must be overidentified.
     """
+    if sys.df <= 0:
+        raise ValueError(f"just-identified or under-identified system (df={sys.df}) is unsupported")
+    kern = cue_kernel(sys, cfg)
     B, _, errors = _coefficients(thetas, sys)
     n = len(B)
     stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
-    kern = cue_kernel(sys, cfg)
     for lo in range(0, n, BATCH_CHUNK):
         part = slice(lo, lo + BATCH_CHUNK)
         stat[part], d_hat[part], flagged[part], errs = _minimize_rows(kern, B[part], sys.T)
@@ -668,13 +679,6 @@ def _results(errors: list, variant: str, stat, df, crit, level: float, bandwidth
     return out
 
 
-def _require_overidentified(sys: MomentSystem) -> None:
-    if sys.df <= 0:
-        raise ValueError(
-            f"just-identified or under-identified system (df={sys.df}) is unsupported"
-        )
-
-
 def _one(outcomes: list) -> TestResult:
     if isinstance(outcomes[0], Exception):
         raise outcomes[0]
@@ -691,7 +695,6 @@ def s_statistics(
 
     The points are minimised together, BATCH_CHUNK at a time.
     """
-    _require_overidentified(sys)
     _, stat, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
     crit = chi2_quantile(sys.df, level)
     return _results(errors, "S", stat, sys.df, crit, level, cfg.resolve_bandwidth(sys.T),
@@ -719,20 +722,11 @@ QLL_BREAK_FRACTIONS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 #: m = len(QLL_BREAK_FRACTIONS): the subsample statistics are evaluated at the
 #: fixed full-sample d_hat, so each is compared against a chi2(k) reference and
 #: the two-piece threshold bounds the size of the combination by a (Bonferroni).
-QLL_CRITICAL_VALUES: dict[tuple[int, float], float] = {}
-
-
-def _populate_qll_table() -> None:
-    m = len(QLL_BREAK_FRACTIONS)
-    for k in range(2, 14):
-        for level in (0.90, 0.95, 0.99):
-            a = 1.0 - level
-            QLL_CRITICAL_VALUES[(k, level)] = (10.0 / 11.0) * chi2_quantile(
-                k - 1, 1.0 - a / 2.0
-            ) + chi2_quantile(2 * k, 1.0 - a / (2.0 * m))
-
-
-_populate_qll_table()
+QLL_CRITICAL_VALUES: dict[tuple[int, float], float] = {
+    (k, level): (10.0 / 11.0) * chi2_quantile(k - 1, 1.0 - (1.0 - level) / 2.0)
+    + chi2_quantile(2 * k, 1.0 - (1.0 - level) / (2.0 * len(QLL_BREAK_FRACTIONS)))
+    for k in range(2, 14) for level in (0.90, 0.95, 0.99)
+}
 
 
 def _breakpoint_kernel(sys: MomentSystem, cfg: HACConfig) -> Optional[CUEKernel]:
@@ -778,9 +772,6 @@ def qll_s_statistics(
     level: float = 0.90,
 ) -> list:
     """`qll_s_statistic` at every point: its TestResult, or the exception it raised."""
-    _require_overidentified(sys)
-    if sys.k_x != 1:
-        raise ValueError("the qLL fallback supports only a scalar included instrument")
     key = (sys.k_z, round(level, 6))
     if key not in QLL_CRITICAL_VALUES:
         raise ValueError(
@@ -887,6 +878,10 @@ def split_sample_s_statistic(
     model parameter point, since the statistic needs its Jacobian.
     """
     return _one(split_sample_s_statistics([theta0], sys, split, cfg, level))
+
+
+#: The batch function of each test, by its `[inference] statistic` name.
+STATISTICS = {"S": s_statistics, "qll": qll_s_statistics, "split": split_sample_s_statistics}
 
 
 # --- first-stage diagnostics -------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import split_reference
+from eulergmm import inference
 from eulergmm.cli import main
 from eulergmm.design import BASELINE_INSTRUMENTS, build_design
 from eulergmm.grids import (
@@ -45,6 +46,10 @@ STATISTICS = {
     "qll": (qll_s_statistics, qll_s_statistic),
     "split": (split_sample_s_statistics, split_sample_s_statistic),
 }
+
+
+def test_every_statistic_is_covered():
+    assert {name: batch for name, (batch, _) in STATISTICS.items()} == inference.STATISTICS
 
 
 @pytest.fixture(scope="module")
@@ -172,13 +177,29 @@ class TestCliGrid:
             extra_points=((0.3, 5.0, 1.0), (0.6, 2.48, 0.01)),
         )
         single = STATISTICS[statistic][1]
-        grid = invert_test(lambda p: single(StructuralParams(*p), systems["IAC"]), spec, 0.90,
-                           variant=statistic)
+        grid = invert_test(lambda p: single(StructuralParams(*p), systems["IAC"]), spec, 0.90)
         export_grid(grid, tmp_path / "per_point")
         batch_rows = (tmp_path / "batch" / "grid.csv").read_text().splitlines()
         point_rows = (tmp_path / "per_point.csv").read_text().splitlines()
         assert len(batch_rows) == 3 * 4 * 3 + 3
         assert batch_rows == point_rows
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    def test_grid_is_labelled_by_its_results(self, tmp_path, systems, statistic):
+        # `grid` and invert_test label the set as `estimate` labels its result
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\nsnapshot = true\n[grid]\npoints = 2, 2, 2\n"
+                       f"[inference]\nstatistic = {statistic}\ntheta0 = 0.3, 5.0, 1.0\n")
+        for command in ("grid", "estimate"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        label = json.loads((tmp_path / "test_result.json").read_text())["result"]["variant"]
+        assert label == {"S": "S", "qll": "qLL-S(sup-split)", "split": "split-S"}[statistic]
+        assert json.loads((tmp_path / "grid.json").read_text())["variant"] == label
+        single = STATISTICS[statistic][1]
+        grid = invert_test(lambda p: single(StructuralParams(*p), systems["IAC"]),
+                           box(default_structural_grid(), 2), 0.90)
+        export_grid(grid, tmp_path / "per_point")
+        assert json.loads((tmp_path / "per_point.json").read_text())["variant"] == label
 
     def test_invalid_point_is_an_error_row(self, tmp_path):
         good = "0.3,5.0,1.0"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -160,6 +161,13 @@ class TestInvertTest:
         assert (g.errors[bad] == 1).all() and (g.accepts[bad] == 0).all()
         assert np.isnan(g.stats[bad]).all()
         assert not g.errors[~bad].any()
+
+    def test_label_is_the_results(self):
+        labelled = lambda point: dataclasses.replace(ball_evaluator()(point), variant="split-S")
+        assert invert_test(labelled, SMALL, 0.90).variant == "split-S"
+        mixed = lambda point: (labelled if point[0] < 0 else ball_evaluator())(point)
+        with pytest.raises(ValueError, match="results of more than one test: S, split-S"):
+            invert_test(mixed, SMALL, 0.90)
 
     def test_majority_errors_abort(self):
         def always(point):

@@ -9,6 +9,7 @@ from eulergmm.design import BASELINE_INSTRUMENTS, MomentSystem, build_design
 from eulergmm.hac import HACConfig
 from eulergmm.inference import (
     QLL_CRITICAL_VALUES,
+    SingularCovarianceError,
     SplitSpec,
     TestResult as Result,
     cue_objective,
@@ -16,7 +17,9 @@ from eulergmm.inference import (
     minimize_cue,
     qll_b_component,
     qll_s_statistic,
+    qll_s_statistics,
     s_statistic,
+    s_statistics,
     split_sample_s_statistic,
 )
 from eulergmm.models import StructuralParams
@@ -261,6 +264,46 @@ class TestSplitSampleStatistic:
             with pytest.raises(ValueError, match=re.escape(f"gap must be an integer, got {bad!r}")):
                 SplitSpec(gap=bad)
         assert SplitSpec(gap=np.int64(2)).gap == 2
+
+
+class TestPreconditions:
+    """Each system and point check is made in one place, the same for every path."""
+
+    def test_vector_constant_is_rejected_on_every_cue_path(self):
+        sys_ = dataclasses.replace(toy_system(k_excluded=4),
+                                   X=np.column_stack([np.ones(120), np.arange(120.0)]))
+        b, cfg = np.array([1.0]), HACConfig()
+        messages = set()
+        for call in (lambda: s_statistic(b, sys_), lambda: qll_s_statistic(b, sys_),
+                     lambda: minimize_cue(sys_, b, cfg), lambda: cue_objective(sys_, b, 0.0, cfg)):
+            with pytest.raises(ValueError, match="scalar constant only, got k_x=2") as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_coefficient_vector_of_the_wrong_shape(self, m):
+        sys_ = TestSplitSampleStatistic.iac_system()
+        message = re.escape(f"b has shape ({m},), expected (8,)")
+        for call in (s_statistic, qll_s_statistic, lambda b, s: minimize_cue(s, b, HACConfig())):
+            with pytest.raises(ValueError, match=message):
+                call(np.ones(m), sys_)
+        good = s_statistic(np.ones(8), sys_)
+        wrong, right = s_statistics([np.ones(m), np.ones(8)], sys_)
+        assert isinstance(wrong, ValueError) and right == good
+
+    @pytest.mark.parametrize("batch", [s_statistics, qll_s_statistics])
+    def test_chunk_with_no_row_to_scan(self, batch):
+        # every coefficient map fails, or every seed covariance is singular
+        iac = TestSplitSampleStatistic.iac_system()
+        for points in (["bad"], ["bad", "bad"]):
+            assert [type(e) for e in batch(points, iac)] == [AttributeError] * len(points)
+        sys_ = dataclasses.replace(toy_system(T=200), Y=np.zeros((200, 1)))
+        for e in batch([np.array([1.0]), np.array([2.0])], sys_):
+            assert isinstance(e, SingularCovarianceError) and "two-step seed" in str(e)
+        single = s_statistic if batch is s_statistics else qll_s_statistic
+        with pytest.raises(SingularCovarianceError, match="two-step seed"):
+            single(np.array([1.0]), sys_)
 
 
 class TestFirstStageDiagnostics:

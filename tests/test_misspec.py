@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eulergmm
 from eulergmm.misspec import (
     MisspecConfig,
     ar1_filter,
@@ -226,6 +228,10 @@ class TestLabReport:
             "lab_report(MisspecConfig(gamma=0.4, T=2000, reps=2)); "
             "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
         )
+        # the child imports the eulergmm under test, which pytest's pythonpath finds
+        src = os.path.dirname(os.path.dirname(eulergmm.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             check=True, env=env)
         assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import eulergmm
 from eulergmm.inference import QLL_BREAK_FRACTIONS, QLL_CRITICAL_VALUES
 from eulergmm.quantiles import chi2_quantile
 
@@ -66,7 +68,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy' "
         "or m.startswith('concurrent.futures')])"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports the eulergmm under test, which pytest's pythonpath finds
+    src = os.path.dirname(os.path.dirname(eulergmm.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
     assert out.stdout.strip() == "[]"
 
 
