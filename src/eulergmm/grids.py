@@ -146,6 +146,8 @@ def collect_results(
     run, naming the first 10 failures in lattice order.
     """
     n = points.shape[0]
+    if len(outcomes) != n:
+        raise ValueError(f"{len(outcomes)} outcomes for {n} lattice points")
     stats = np.full(n, np.nan)
     dfs = np.zeros(n, dtype=int)
     crits = np.full(n, np.nan)

@@ -74,55 +74,30 @@ class SingularCovarianceError(ValueError):
     """Raised when the HAC covariance cannot be factorized even with a ridge."""
 
 
-def _ridge(V: np.ndarray) -> np.ndarray:
-    """The ridge of every V in a stack: 1e-12 trace(V) / k."""
-    return 1e-12 * V.trace(axis1=-2, axis2=-1) / V.shape[-1]
-
-
-def _ridge_step(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, singular) of (V + r I) x = rhs, r the ridge of each V of a stack:
-    one Cholesky to test every ridged V and one LU solve, x NaN where that
-    Cholesky fails too."""
-    with np.errstate(all="ignore"):
-        V = V + _ridge(V)[:, None, None] * np.eye(V.shape[-1])
-        singular = np.isnan(_umath_linalg.cholesky_lo(V)).any(axis=(-2, -1))
-        x = _umath_linalg.solve(V, rhs)
-    x[singular] = np.nan
-    return x, singular
-
-
 def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     """V x = rhs for a stack of symmetric positive-definite V: (x, flagged, singular).
 
     A Cholesky factorization decides definiteness and conditioning. Every V
     whose Cholesky fails, or whose smallest squared pivot is below the ridge
-    1e-12 * trace/k, takes that ridge and is flagged, all in one
-    `_ridge_step`; a row whose ridged V fails its Cholesky too is singular
-    (and flagged), with x NaN.
+    r = 1e-12 * trace/k, is flagged and solved as V + r I, all in one stacked
+    step; a row whose ridged V fails its Cholesky too is singular (and
+    flagged), with x NaN. Every other V is solved by LU.
     """
     with np.errstate(all="ignore"):
+        ridge = 1e-12 * V.trace(axis1=-2, axis2=-1) / V.shape[-1]
         # a V whose Cholesky fails has NaN pivots; one that passes is safe for LU
         pivots = _umath_linalg.cholesky_lo(V).diagonal(axis1=-2, axis2=-1)
-        flagged = ~((pivots * pivots).min(axis=-1) >= _ridge(V))
+        ok = pivots * pivots >= ridge[:, None]
         x = _umath_linalg.solve(V, rhs)
-    singular = np.zeros(len(V), bool)
-    if flagged.any():
-        x[flagged], singular[flagged] = _ridge_step(V[flagged], rhs[flagged])
+        flagged, singular = np.zeros(len(V), bool), np.zeros(len(V), bool)
+        # count_nonzero costs a stack of one less than a ufunc reduction would
+        if np.count_nonzero(ok) < ok.size:
+            flagged = ~ok.all(axis=-1)
+            R = V[flagged] + ridge[flagged, None, None] * np.eye(V.shape[-1])
+            singular[flagged] = np.isnan(_umath_linalg.cholesky_lo(R)).any(axis=(-2, -1))
+            x[flagged] = _umath_linalg.solve(R, rhs[flagged])
+            x[singular] = np.nan
     return x, flagged, singular
-
-
-def _solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """V x = rhs for a stack of V by LU; a singular V takes `_ridge_step`, or NaN past it."""
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        try:
-            return _umath_linalg.solve(V, rhs)
-        except FloatingPointError:  # a singular V
-            pass
-    with np.errstate(all="ignore"):
-        x = _umath_linalg.solve(V, rhs)  # NaN where V is singular
-    bad = np.isnan(x).any(axis=(-2, -1))
-    x[bad] = _ridge_step(V[bad], rhs[bad])[0]
-    return x
 
 
 @dataclass(frozen=True)
@@ -271,7 +246,11 @@ class CUEKernel:
             return (self.G[0] @ self.R[:, 1:]).T @ w / -(w @ self.g1[0])
 
     def _u(self, b: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
-        """u = R (d, b) of every row as ... x 1 x P, and u u' as ... x 1 x P^2."""
+        """u = R (d, b) of every row as ... x 1 x P, and u u' as ... x 1 x P^2.
+
+        Where u u' overflows (a huge b), V is inf or NaN and its solve reports
+        it singular: every caller ignores the overflow and invalid warnings.
+        """
         c = np.concatenate([np.asarray(d, dtype=float)[..., None], b], axis=-1)
         u = c[..., None, :] @ self.R.T
         return u, (u.swapaxes(-1, -2) * u).reshape(u.shape[:-1] + (-1,))
@@ -288,6 +267,7 @@ class CUEKernel:
                 (uu @ self._H_pairs).reshape(shape + shape[-1:]),
                 (u @ self._V1_map).reshape(shape + shape[-1:]), self.V2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def objectives(self, b: np.ndarray, d) -> np.ndarray:
         """The CUE objective (1/T) g' V^-1 g of every row and sample at (b, d), ... x n.
 
@@ -316,13 +296,16 @@ def cue_kernel(
 
 
 def _checked_b(b, sys: MomentSystem) -> np.ndarray:
-    """b as floats, refused unless it has one coefficient per column of Y."""
+    """b as floats, refused unless it has one finite coefficient per column of Y."""
     b = np.asarray(b, dtype=float)
     if b.shape != (sys.Y.shape[1],):
         raise ValueError(f"b has shape {b.shape}, expected ({sys.Y.shape[1]},)")
+    if not np.isfinite(b).all():
+        raise ValueError(f"b is not finite: {b.tolist()}")
     return b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cue_objective(
     sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig
 ) -> tuple[float, bool]:
@@ -391,7 +374,7 @@ def _newton_terms(g0, V0, V1, V2, r: np.ndarray, work: np.ndarray):
     np.multiply(r[:, None], work[..., 1], out=work[..., 0])
     work[..., 0] += g0
     np.add(A, rV2, out=work[..., 2:k + 2])
-    sol = _solve(V0 + rr * A, work[..., :k + 2])
+    sol = _solve_spd_rows(V0 + rr * A, work[..., :k + 2])[0]
     xy = sol[..., :2]
     xy[..., 1:] -= sol[..., 2:] @ xy[..., :1]
     P = xy.swapaxes(-1, -2) @ work  # [x | y]' [g | g1 | V' | V2]
@@ -481,10 +464,11 @@ def _scan(g0, g1, V0, V1, V2, t: np.ndarray):
     positive-semidefinite HAC: each step is one elementwise operation over the
     whole stack, and x is read from the augmented column. A node whose
     smallest pivot is below `_solve_spd_rows`'s ridge 1e-12 trace/k, or NaN, is
-    solved again by `_solve`. The slope 2 g1'x - x'V1 x - 2 t x'V2 x takes one
-    product per row of [V1; V2] with x. No step is a product across rows, so a
-    row's numbers do not depend on the rest of its batch. A zero pivot divides
-    by zero: the caller ignores those floating-point errors.
+    solved again by `_solve_spd_rows`, under its one ridge rule. The slope
+    2 g1'x - x'V1 x - 2 t x'V2 x takes one product per row of [V1; V2] with x.
+    No step is a product across rows, so a row's numbers do not depend on the
+    rest of its batch. A zero pivot divides by zero: the caller ignores those
+    floating-point errors.
     """
     (n, m), k = t.shape, g0.shape[1]
     forms = np.zeros((n, 3, k, k + 1))
@@ -511,7 +495,7 @@ def _scan(g0, g1, V0, V1, V2, t: np.ndarray):
         rows, nodes = (~ok.all(axis=0)).nonzero()
         own, at = np.unique(rows, return_inverse=True)
         S = np.moveaxis(_systems(forms[own], powers[own])[:, :, at, nodes], -1, 0)
-        x[:, rows, nodes] = _solve(S[..., :k], S[..., k:])[..., 0].T
+        x[:, rows, nodes] = _solve_spd_rows(S[..., :k], S[..., k:])[0][..., 0].T
     W = np.empty((2 * k, n, m))  # [V1 x; V2 x]
     np.matmul(forms[:, 1:, :, :k].reshape(n, 2 * k, k), x.swapaxes(0, 1), out=W.swapaxes(0, 1))
     Vx = W[k:]
@@ -522,15 +506,16 @@ def _scan(g0, g1, V0, V1, V2, t: np.ndarray):
     return x, Vx.sum(axis=0), (g_ends * x[:, :, ::m - 1]).sum(axis=0)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     """`minimize_cue` for every coefficient row of B, each step stacked over the rows.
 
     Returns (stat, d_hat, flagged, errors); errors[i] is the
-    SingularCovarianceError of row i or None, and the row is NaN if set.
+    SingularCovarianceError of row i or None, and the row is NaN if set. A row
+    whose seed covariance is singular takes every step with the others, and
+    keeps the seed's error.
     """
-    N = len(B)
-    errors: list = [None] * N
+    errors: list = [None] * len(B)
     # two-step seed: the first step weighs the moments by (Z'Z)^-1, the second
     # by V(d1)^-1; everything after is in t = d - d1
     d1 = (B * kern.seed).sum(axis=-1)
@@ -539,7 +524,7 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     g0, g1, V0, V1, V2 = g0[:, 0], g1[0], V0[:, 0], V1[:, 0], V2[0]
     rhs = np.empty(g0.shape + (2,))
     rhs[..., 0], rhs[..., 1] = g0, -g1
-    sol, _, singular = _solve_spd_rows(V0, rhs)
+    sol, _, seed_singular = _solve_spd_rows(V0, rhs)
     num, denom = (-g1 @ sol).T
     t0, se = num / denom, np.sqrt(T / denom)
     if not np.isfinite(t0 * se).all():  # denom <= 0, or t0 not finite
@@ -548,16 +533,6 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
         bad = ~np.isfinite(t0)
         t0[bad], se[bad] = 0.0, 1.0
     se = np.maximum(se, 1e-12)
-    keep = None
-    if singular.any():
-        for i in np.flatnonzero(singular):
-            errors[i] = SingularCovarianceError(
-                f"HAC covariance singular even after ridge (two-step seed d={float(d1[i])!r})"
-            )
-        keep = np.flatnonzero(~singular)
-        if not keep.size:
-            return np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool), errors
-        g0, V0, V1, d1, t0, se = (a[keep] for a in (g0, V0, V1, d1, t0, se))
 
     # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
     # of those minima and the two bracket ends
@@ -580,17 +555,10 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     gb = (g0 + best[:, None] * g1)[:, None, :]
     xb, flagged, singular = _solve_spd_rows(V0 + bb * (V1 + bb * V2), gb.swapaxes(-1, -2))
     stat, d_hat = (gb @ xb)[:, 0, 0] / T, d1 + best
-    if keep is not None:
-        out = np.full(N, np.nan), np.full(N, np.nan), np.zeros(N, bool), np.zeros(N, bool)
-        for a, part in zip(out, (stat, d_hat, flagged, singular)):
-            a[keep] = part
-        stat, d_hat, flagged, singular = out
-    if singular.any():
-        for i in np.flatnonzero(singular):
-            errors[i] = SingularCovarianceError(
-                f"HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
-            )
-            stat[i] = d_hat[i] = np.nan
+    for i in np.flatnonzero(seed_singular | singular):
+        at = f"two-step seed d={float(d1[i])!r}" if seed_singular[i] else f"d={float(d_hat[i])!r}"
+        errors[i] = SingularCovarianceError(f"HAC covariance singular even after ridge ({at})")
+        stat[i] = d_hat[i] = np.nan
     return stat, d_hat, flagged, errors
 
 
@@ -619,8 +587,8 @@ def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
     """(B, J, errors): the coefficient row of every point, and its Jacobian if asked.
 
     A point is a model parameter point or, when no Jacobian is asked for, its
-    coefficient vector b as an array. A point whose map fails carries its
-    exception in `errors`, a NaN row in B and None in J.
+    coefficient vector b as an array. A point whose map fails, or maps to a
+    non-finite b, carries its exception in `errors`, a NaN row in B and None in J.
     """
     n = len(thetas)
     B, J, errors = np.full((n, sys.Y.shape[1]), np.nan), [None] * n, [None] * n
@@ -633,6 +601,13 @@ def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
                 J[i] = np.asarray(sys.jacobian(theta), dtype=float)
         except Exception as exc:  # recorded on its own row
             errors[i] = exc
+    finite = np.isfinite(B)
+    if np.count_nonzero(finite) < finite.size:  # a failed map's NaN row, or a non-finite b
+        for i in np.flatnonzero(~finite.all(axis=1)):
+            if errors[i] is None:
+                errors[i] = ValueError(
+                    f"coefficients of {thetas[i]!r} are not finite: {B[i].tolist()}")
+                B[i], J[i] = np.nan, None
     return B, J, errors
 
 
@@ -772,7 +747,7 @@ def qll_s_statistics(
     level: float = 0.90,
 ) -> list:
     """`qll_s_statistic` at every point: its TestResult, or the exception it raised."""
-    key = (sys.k_z, round(level, 6))
+    key = (sys.k_z, level)
     if key not in QLL_CRITICAL_VALUES:
         raise ValueError(
             f"no embedded qLL critical value for {sys.k_z} moments at level {level}; "

@@ -35,10 +35,9 @@ from eulergmm.inference import (
     CUERows,
     SingularCovarianceError,
     TestResult,
-    _solve,
     qll_s_statistic as library_qll_s_statistic,
 )
-from spd_reference import solve_spd
+from spd_reference import solve_rows, solve_spd
 
 
 def direct_moments(sys: MomentSystem, b: np.ndarray, d: float, cfg: HACConfig):
@@ -230,7 +229,7 @@ def _polish(g0, g1, V0, V1, V2, t, s, se):
         rr = r[:, None, None]
         A = V1 + rr * V2
         rhs[..., 0], rhs[..., 2:] = g0 + r[:, None] * g1, A + rr * V2
-        sol = _solve(V0 + rr * A, rhs)
+        sol = solve_rows(V0 + rr * A, rhs)
         h = g1 - (rhs[..., 2:] @ sol[..., :1])[..., 0]
         xd = sol[..., 1] - (sol[..., 2:] @ sol[..., :1])[..., 0]
         x = sol[..., 0]
@@ -296,7 +295,8 @@ def minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     forms[:, 0], forms[:, 1], forms[:, 2] = V0, V1, V2
     g_forms[:, 0], g_forms[:, 1] = g0, g1
     g = powers[..., :2] @ g_forms
-    x = _solve((powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k)), g[..., None])[..., 0]
+    V = (powers @ forms.reshape(n, 3, -1)).reshape(t.shape + (k, k))
+    x = solve_rows(V, g[..., None])[..., 0]
     q = np.einsum("nsi,nsi->ns", g, x)
     s = 2.0 * x @ g1 - ((x @ V1) * x).sum(-1) - 2.0 * t * ((x @ V2) * x).sum(-1)
     rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)

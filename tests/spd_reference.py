@@ -2,9 +2,10 @@
 
 `solve_spd` is the library's earlier `_solve_spd`, one matrix at a time, and
 `solve` its earlier `_solve` for one matrix: an LU solve, and `solve_spd`'s
-ridge where LU fails. The per-point references `cue_reference` and
-`split_reference` solve through `solve_spd`, so neither oracle shares its
-solver with the library.
+ridge where LU fails. `solve_rows` is that `_solve` on a stack, the solver of
+the earlier lattice minimiser `cue_reference.minimize_rows`. The per-point
+references `cue_reference` and `split_reference` solve through `solve_spd`,
+so neither oracle shares its solver with the library.
 """
 
 from __future__ import annotations
@@ -48,3 +49,14 @@ def solve(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solve_spd(V, rhs, context="")[0]
     except SingularCovarianceError:
         return np.full(rhs.shape, np.nan)
+
+
+def solve_rows(V: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """`solve` of every matrix of a stack (any batch axes): one stacked LU, and
+    `solve` matrix by matrix where a V of the stack is singular."""
+    try:
+        return np.linalg.solve(V, rhs)
+    except np.linalg.LinAlgError:
+        k = V.shape[-1]
+        x = [solve(v, r) for v, r in zip(V.reshape(-1, k, k), rhs.reshape((-1,) + rhs.shape[-2:]))]
+        return np.array(x).reshape(rhs.shape)

@@ -317,9 +317,10 @@ class TestAgainstReference:
 
 
 class TestStackedRidge:
-    """`_solve_spd_rows` and `_solve` on a stack that mixes well-conditioned,
-    ill-conditioned, exactly singular, zero and indefinite matrices give, row
-    by row, the bits of the per-matrix reference solve (`spd_reference`)."""
+    """`_solve_spd_rows` on a stack that mixes well-conditioned,
+    ill-conditioned, exactly singular, zero and indefinite matrices gives, row
+    by row, the bits of the per-matrix reference solve (`spd_reference`), and
+    a Newton step solves by its rule."""
 
     @staticmethod
     def stack():
@@ -356,13 +357,22 @@ class TestStackedRidge:
         assert set(zip(flagged.tolist(), singular.tolist())) == \
             {(False, False), (True, False), (True, True)}
 
-    def test_solve(self):
-        V, rhs = self.stack()
-        # a scan's stack has two batch axes
-        x = inference._solve(V.reshape(3, 5, 4, 4), rhs.reshape(3, 5, 4, 2)).reshape(rhs.shape)
-        ref_x = np.array([spd_reference.solve(Vi, ri) for Vi, ri in zip(V, rhs)])
-        assert np.array_equal(x, ref_x, equal_nan=True)
-        assert np.isnan(x).all(axis=(1, 2)).sum() == 3
+    def test_newton_step_takes_the_ridge(self):
+        # V(r) = V0 (V1 = V2 = 0, g1 = 0), so q = g0'x. Each V0 has a smallest
+        # squared Cholesky pivot of 1e-14, below the floor: a Newton step
+        # solves it ridged, as `_solve_spd_rows` does, where plain LU's q is
+        # many times larger
+        rng = np.random.default_rng(3)
+        m, k = 6, 4
+        L = np.tril(rng.normal(size=(m, k, k)), -1) + np.diag([1.0, 1.5, 2.0, 1e-7])
+        V0, g0 = L @ L.swapaxes(-1, -2), rng.normal(size=(m, k))
+        x, flagged, singular = inference._solve_spd_rows(V0, g0[..., None])
+        assert flagged.all() and not singular.any()
+        q = _newton_terms(g0, V0, np.zeros_like(V0), np.zeros((k, k)), np.zeros(m),
+                          _newton_work(np.zeros(k), np.zeros((k, k)), m))[0]
+        assert q == pytest.approx((g0 * x[..., 0]).sum(axis=-1), rel=1e-12)
+        lu = (g0 * np.linalg.solve(V0, g0[..., None])[..., 0]).sum(axis=-1)
+        assert np.all(lu > 10.0 * q)
 
 
 def lattice_rows(systems, case):
@@ -475,8 +485,8 @@ def slope(x, g1, V1, V2, t):
 
 class TestScan:
     """`_scan`, the stacked LDL' elimination of every row's and node's [V | g],
-    against per-node LAPACK solves, its `_solve` fallback and itself in a batch
-    of one."""
+    against per-node LAPACK solves, its `_solve_spd_rows` fallback and itself in
+    a batch of one."""
 
     @pytest.mark.parametrize("case", ["IAC", "SEMI 0", "SEMI 0.9"])
     def test_matches_per_node_solve(self, systems, monkeypatch, case):
@@ -513,7 +523,8 @@ class TestScan:
         V2 = 0.5 * np.eye(k)
         g0, g1 = rng.normal(size=(n, k)), rng.normal(size=k)
         t = rng.uniform(-1.0, 1.0, size=(n, CUE_SCAN_POINTS))
-        monkeypatch.setattr(inference, "_solve", lambda *a: pytest.fail("a node below the floor"))
+        monkeypatch.setattr(inference, "_solve_spd_rows",
+                            lambda *a: pytest.fail("a node below the floor"))
         x, s, _ = inference._scan(g0, g1, V0, V1, V2, t)
         V, g = node_systems(g0, g1, V0, V1, V2, t)
         assert np.linalg.cond(V).max() < 100.0
@@ -526,17 +537,18 @@ class TestScan:
     def test_nodes_below_the_floor_take_solve(self, monkeypatch):
         # a stack of fixed V (V1 = V2 = 0): well-conditioned, ill-conditioned,
         # exactly singular, zero and indefinite. All but the first kind are
-        # below the floor at every node, and their x are `_solve`'s bits.
+        # below the floor at every node, and their x are `_solve_spd_rows`'s
+        # bits: ridged, or NaN where the ridged V fails its Cholesky too.
         V0, rhs = TestStackedRidge.stack()
         n, k = len(V0), V0.shape[-1]
         g0, t = rhs[..., 0], np.linspace(-1.0, 1.0, CUE_SCAN_POINTS) * np.ones((n, 1))
-        solved, solve = [], inference._solve
+        solved, solve = [], inference._solve_spd_rows
 
         def spy(V, b):
             solved.append(len(V))
             return solve(V, b)
 
-        monkeypatch.setattr(inference, "_solve", spy)
+        monkeypatch.setattr(inference, "_solve_spd_rows", spy)
         with np.errstate(all="ignore"):
             x, _, _ = inference._scan(g0, np.zeros(k), V0, np.zeros_like(V0), np.zeros((k, k)), t)
         well = np.linalg.eigvalsh(V0).min(axis=-1) > 1e-3 * np.abs(V0).max(axis=(-2, -1))
@@ -546,21 +558,25 @@ class TestScan:
                 ref = np.linalg.solve(V0[i], g0[i])
                 assert np.abs(x[:, i] - ref[:, None]).max() <= 1e-12 * np.abs(ref).max()
             else:
-                ref = solve(V0[i][None], g0[i][None, :, None])[0, :, 0]
-                assert np.array_equal(x[:, i], np.repeat(ref[:, None], CUE_SCAN_POINTS, 1),
+                ref, flagged, _ = solve(V0[i][None], g0[i][None, :, None])
+                assert flagged[0]
+                assert np.array_equal(x[:, i], np.repeat(ref[0], CUE_SCAN_POINTS, 1),
                                       equal_nan=True)
 
     def test_repeated_instrument_nodes_take_solve(self, monkeypatch):
         # V is singular at every node of the system of
         # `test_ridge_flagged_by_conditioning`: every node is below the floor,
-        # and x is `_solve`'s bits on the systems the scan formed
+        # and x is `_solve_spd_rows`'s bits on the systems the scan formed
         sys_ = repeated_instrument_system()
         B = np.linspace(-2.0, 2.0, BATCH_CHUNK)[:, None]
         kern = cue_kernel(sys_, HACConfig(bandwidth=2))
         ((args, (x, s, _)),) = scan_calls(monkeypatch, kern, B, sys_.T)
         g0, g1, V0, V1, V2, t = args
         V, g = node_systems(*args)
-        ref = inference._solve(V, g[..., None])[..., 0]
+        ref, flagged, _ = inference._solve_spd_rows(V.reshape(-1, *V.shape[2:]),
+                                                    g.reshape(-1, g.shape[-1], 1))
+        assert flagged.all()
+        ref = ref.reshape(g.shape)
         assert np.array_equal(x.transpose(1, 2, 0), ref)
         expected, scale = slope(ref, g1, V1, V2, t)
         assert np.all(np.abs(s - expected) <= 1e-14 * scale)
@@ -582,7 +598,7 @@ class TestPolishSolveCount:
 
     @pytest.mark.parametrize("rho, bound", [(0.0, 3.0), (0.9, 1.6)])
     def test_mean_solves(self, systems, monkeypatch, rho, bound):
-        polish, solve = inference._polish, inference._solve
+        polish, solve = inference._polish, inference._solve_spd_rows
         state = {"polishing": False, "solves": 0}
 
         def counted_polish(*args):
@@ -597,7 +613,7 @@ class TestPolishSolveCount:
             return solve(V, rhs)
 
         monkeypatch.setattr(inference, "_polish", counted_polish)
-        monkeypatch.setattr(inference, "_solve", counted_solve)
+        monkeypatch.setattr(inference, "_solve_spd_rows", counted_solve)
         sys_, B = lattice_rows(systems, f"SEMI {rho}")
         for b in B:
             minimize_cue(sys_, b, CFG)

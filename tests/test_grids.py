@@ -8,6 +8,7 @@ from eulergmm.grids import (
     AxisSpec,
     ConfidenceGrid,
     GridSpec,
+    collect_results,
     default_semi_grid,
     default_structural_grid,
     export_grid,
@@ -175,6 +176,13 @@ class TestInvertTest:
 
         with pytest.raises(RuntimeError, match="failed on"):
             invert_test(always, SMALL, 0.90)
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_outcome_per_point(self, count):
+        points = make_grid(SMALL)[:3]
+        outcomes = [ball_evaluator()(p) for p in make_grid(SMALL)[:count]]
+        with pytest.raises(ValueError, match=f"{count} outcomes for 3 lattice points"):
+            collect_results(SMALL, 0.90, points, outcomes)
 
 
 class TestSummaryAndExport:

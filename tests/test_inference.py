@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from eulergmm.inference import (
     s_statistic,
     s_statistics,
     split_sample_s_statistic,
+    split_sample_s_statistics,
 )
 from eulergmm.models import StructuralParams
 from eulergmm.pipeline import Dataset
@@ -152,6 +154,12 @@ class TestQLLStatistic:
         sys_ = toy_system(seed=11)
         with pytest.raises(ValueError, match="critical value"):
             qll_s_statistic(np.array([1.0]), sys_, level=0.8)
+
+    def test_level_is_looked_up_exactly(self):
+        sys_ = toy_system(seed=11)
+        with pytest.raises(ValueError, match="no embedded qLL critical value"):
+            qll_s_statistic(np.array([1.0]), sys_, level=0.9000004)
+        assert qll_s_statistic(np.array([1.0]), sys_, level=0.9).level == 0.9
 
     def test_embedded_table_keys(self):
         assert (4, 0.90) in QLL_CRITICAL_VALUES
@@ -304,6 +312,49 @@ class TestPreconditions:
         single = s_statistic if batch is s_statistics else qll_s_statistic
         with pytest.raises(SingularCovarianceError, match="two-step seed"):
             single(np.array([1.0]), sys_)
+
+
+    def test_non_finite_coefficients_name_the_point(self):
+        sys_ = dataclasses.replace(toy_system(), Y=np.random.default_rng(1).normal(size=(120, 2)),
+                                   y_labels=["y1", "y2"])
+        cfg = HACConfig()
+        for b in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+            message = re.escape(f"b is not finite: {b.tolist()}")
+            for call in (lambda: s_statistic(b, sys_), lambda: qll_s_statistic(b, sys_),
+                         lambda: minimize_cue(sys_, b, cfg),
+                         lambda: cue_objective(sys_, b, 0.0, cfg)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+        good = np.array([1.0, 1.0])
+        for batch, single in ((s_statistics, s_statistic), (qll_s_statistics, qll_s_statistic)):
+            bad, right = batch([np.array([np.nan, 1.0]), good], sys_)
+            assert isinstance(bad, ValueError) and right == single(good, sys_)
+        iac, theta = TestSplitSampleStatistic.iac_system(), StructuralParams(np.nan, 2.0, 1.0)
+        message = re.escape(f"coefficients of {theta!r} are not finite")
+        for call in (s_statistic, qll_s_statistic, split_sample_s_statistic):
+            with pytest.raises(ValueError, match=message):
+                call(theta, iac)
+        good = StructuralParams(0.3, 2.0, 1.0)
+        bad, right = split_sample_s_statistics([theta, good], iac)
+        assert isinstance(bad, ValueError) and right == split_sample_s_statistic(good, iac)
+
+    def test_huge_coefficients_leak_no_warning(self):
+        # u u' overflows: the seed covariance is singular, and no numpy
+        # warning escapes any CUE path
+        sys_ = dataclasses.replace(toy_system(), Y=np.random.default_rng(1).normal(size=(120, 2)),
+                                   y_labels=["y1", "y2"])
+        b, good, cfg = np.array([1e200, 1.0]), np.array([1.0, 1.0]), HACConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: s_statistic(b, sys_), lambda: qll_s_statistic(b, sys_),
+                         lambda: minimize_cue(sys_, b, cfg),
+                         lambda: cue_objective(sys_, b, 0.0, cfg)):
+                with pytest.raises(SingularCovarianceError):
+                    call()
+            assert np.isnan(qll_b_component(b, sys_, cfg, 0.0))
+            huge, right = s_statistics([b, good], sys_)
+        assert isinstance(huge, SingularCovarianceError) and "two-step seed" in str(huge)
+        assert right == s_statistic(good, sys_)
 
 
 class TestFirstStageDiagnostics:
