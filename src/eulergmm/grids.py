@@ -13,6 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .inference import TestResult
+from .pipeline import _csv_rows, _data_rows
 
 
 @dataclass(frozen=True)
@@ -288,28 +289,18 @@ def export_grid(g: ConfidenceGrid, path: str | os.PathLike) -> tuple[str, str]:
 
 
 def read_grid_csv(path: str | os.PathLike) -> dict:
-    """Read an exported grid CSV back into column arrays keyed by header name.
-
-    A row with the wrong number of fields, or a cell that is not a number, is
-    a ValueError naming the file and the row (row 1 follows the header).
-    """
+    """Read an exported grid CSV back into column arrays keyed by header name. A
+    file the panel reader cannot read, a ragged row or a non-numeric cell is a
+    ValueError naming the file (and the row; row 1 follows the header)."""
     path = os.fspath(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no grid CSV header")
-        rows = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_no}: {len(row)} fields, expected {len(header)}")
-            rows.append([])
-            for cell in row:
-                try:
-                    rows[-1].append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: row {row_no}: non-numeric value {cell!r}") from None
-    data = np.array(rows).reshape(len(rows), len(header))
-    return {name: data[:, j] for j, name in enumerate(header)}
+    rows = _csv_rows(path)
+    if not rows or not rows[0]:
+        raise ValueError(f"{path}: empty file, no grid CSV header")
+    values = []
+    for row_no, row in _data_rows(path, rows):
+        for cell in row:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: row {row_no}: non-numeric value {cell!r}") from None
+    return dict(zip(rows[0], np.reshape(values, (-1, len(rows[0]))).T))

@@ -314,6 +314,8 @@ def cue_objective(
     V is the HAC of the moment rows demeaned at this d, read off the system's
     CUE kernel.
     """
+    if not math.isfinite(float(d)):
+        raise ValueError(f"d is not finite: {float(d)!r}")
     g, _, V, _, _ = cue_kernel(sys, cfg).forms(_checked_b(b, sys), float(d))
     x, flagged, singular = _solve_spd_rows(V, g[..., None])
     if singular[0]:
@@ -728,8 +730,13 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     breakpoint and taking the worst one. For coefficient rows b (N x m) and
     d_hat (N,) it returns one component per row, BATCH_CHUNK rows at a time;
     a row is NaN where a subsample covariance is singular even after the ridge.
+    A non-finite coefficient or d_hat is a ValueError naming its row.
     """
     B, d = np.atleast_2d(np.asarray(b, dtype=float)), np.atleast_1d(np.asarray(d_hat, float))
+    if not (np.isfinite(B).all() and np.isfinite(d).all()):
+        d = np.broadcast_to(d, len(B))
+        i = int(np.argmin(np.isfinite(B).all(axis=1) & np.isfinite(d)))
+        raise ValueError(f"row {i} is not finite: b={B[i].tolist()}, d_hat={float(d[i])!r}")
     out = np.zeros(len(B))
     kern = _breakpoint_kernel(sys, cfg)
     if kern is not None:

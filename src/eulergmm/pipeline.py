@@ -91,73 +91,18 @@ class Dataset:
 
 
 def load_series_csv(path: str | os.PathLike, name: str | None = None) -> Series:
-    """Read a `date,value` CSV with dates formatted YYYYQn.
-
-    Quarters must be strictly increasing and contiguous; every value must
-    parse as a finite float. Errors report the offending data row number
-    (1 = first row after the header). The dates are checked in one pass
-    against the labels of the quarters that follow the first one, and the
-    values converted in one; only a file that fails is walked row by row,
-    to name its first fault.
-    """
+    """Read a `date,value` CSV (header case-insensitive) by `_read_dated`'s rules:
+    a series file is a panel with one `value` column."""
     path = os.fspath(path)
-    rows = _csv_rows(path)
-    if not rows:
-        raise PipelineError(f"{path}: empty file")
-    header = rows[0]
-    if [h.strip().lower() for h in header[:2]] != ["date", "value"]:
-        raise PipelineError(f"{path}: expected header 'date,value', got {header}")
-    body = [(row_no, row) for row_no, row in enumerate(rows[1:], start=1) if row]
-    if not body:
-        raise PipelineError(f"{path}: no observations")
-    try:
-        first = QuarterIndex.ordinal(body[0][1][0])
-        values = np.array(list(map(float, (row[1] if len(row) > 1 else "" for _, row in body))))
-        labels = [f"{k // 4:04d}Q{k % 4 + 1}" for k in range(first, first + len(body))]
-        clean = [row[0].strip() for _, row in body] == labels and np.isfinite(values).all()
-    except ValueError:
-        clean = False
-    if clean:
-        start = QuarterIndex.of_ordinal(first)
-    else:
-        start, values = _parse_rows(path, body)
-    return Series(name or os.path.splitext(os.path.basename(path))[0], start, values)
-
-
-def _parse_rows(path: str, body: list) -> tuple[QuarterIndex, list[float]]:
-    """(first quarter, values) of a series file's (row number, row) pairs, row by
-    row; the first faulty row raises a PipelineError that names it."""
-    quarters: list[QuarterIndex] = []
-    values: list[float] = []
-    for row_no, row in body:
-        try:
-            q = QuarterIndex.parse(row[0])
-        except ValueError as exc:
-            raise PipelineError(f"{path}: row {row_no}: {exc}") from None
-        if quarters:
-            gap = q - quarters[-1]
-            if gap == 0:
-                raise PipelineError(f"{path}: row {row_no}: duplicate quarter {q}")
-            if gap < 0:
-                raise PipelineError(f"{path}: row {row_no}: dates not increasing")
-            if gap != 1:
-                missing = quarters[-1] + 1
-                raise PipelineError(
-                    f"{path}: row {row_no}: gap in quarters, missing {missing}"
-                )
-        quarters.append(q)
-        values.append(_finite(row[1] if len(row) > 1 else "", path, row_no))
-    return quarters[0], values
+    _, start, data = _read_dated(path, ("date", "value"))
+    return Series(name or os.path.splitext(os.path.basename(path))[0], start, data[0])
 
 
 def load_series_dir(directory: str | os.PathLike) -> dict[str, Series]:
     """Every `NAME.csv` in `directory`, read by `load_series_csv` and keyed by NAME."""
-    out = {}
-    for fn in sorted(os.listdir(directory)):
-        name, ext = os.path.splitext(fn)
-        if ext == ".csv":
-            out[name] = load_series_csv(os.path.join(directory, fn), name=name)
-    return out
+    files = [fn for fn in sorted(os.listdir(directory)) if os.path.splitext(fn)[1] == ".csv"]
+    series = [load_series_csv(os.path.join(directory, fn)) for fn in files]
+    return {s.name: s for s in series}
 
 
 def _csv_rows(path: str) -> list[list[str]]:
@@ -171,15 +116,82 @@ def _csv_rows(path: str) -> list[list[str]]:
         raise PipelineError(f"{path}: unreadable CSV: {exc}") from None
 
 
-def _finite(cell: str, path: str, row_no: int) -> float:
-    """One cell as a finite float; anything else is an error naming the row."""
+def _data_rows(path: str, rows: list[list[str]]):
+    """(row number, row) of each non-blank row after the header `rows[0]`, row 1
+    first; a row whose field count is not the header's is a PipelineError."""
+    width = len(rows[0])
+    for row_no, row in enumerate(rows[1:], start=1):
+        if row and len(row) != width:
+            raise PipelineError(f"{path}: row {row_no}: {len(row)} fields, expected {width}")
+        if row:
+            yield row_no, row
+
+
+def _check_step(prev: QuarterIndex, cur: QuarterIndex, where: str) -> None:
+    """The contiguity rule: `cur` directly follows `prev`, or a PipelineError at `where`."""
+    gap = cur - prev
+    if gap == 0:
+        raise PipelineError(f"{where}: duplicate quarter {cur}")
+    if gap < 0:
+        raise PipelineError(f"{where}: dates not increasing")
+    if gap != 1:
+        raise PipelineError(f"{where}: gap in quarters, missing {prev + 1}")
+
+
+def _read_dated(
+    path: str, expect: Optional[tuple[str, ...]] = None
+) -> tuple[list[str], QuarterIndex, np.ndarray]:
+    """(column names, first quarter, columns x rows values) of a CSV file with
+    header `date,<distinct names>` (`expect`, if given, is the only header
+    accepted; case-insensitive) and dates formatted YYYYQn, blank rows skipped.
+
+    The dates are checked in one pass against the labels of the quarters that
+    follow the first one, and the cells converted in one. Only a file that
+    fails is walked row by row, to name its first faulty row (1 = first row
+    after the header): a ragged row, a bad date, a duplicate quarter, dates not
+    increasing, a gap, or a non-numeric or non-finite cell.
+    """
+    rows = _csv_rows(path)
+    header = rows[0] if rows else []
+    if expect is not None and [h.strip().lower() for h in header] != list(expect):
+        raise PipelineError(f"{path}: expected header {','.join(expect)!r}, got {header}")
+    if not header or header[0].strip().lower() != "date":
+        raise PipelineError(f"{path}: first panel column must be 'date'")
+    names = header[1:]
+    if not names or len(set(names)) != len(names):
+        raise PipelineError(f"{path}: header needs distinct column names after 'date': {header}")
+    body = [row for row in rows[1:] if row]
+    if not body:
+        raise PipelineError(f"{path}: no observations")
     try:
-        value = float(cell)
+        first = QuarterIndex.ordinal(body[0][0])
+        dates, *cells = zip(*body, strict=True)
+        data = np.array([list(map(float, column)) for column in cells])
+        labels = [f"{k // 4:04d}Q{k % 4 + 1}" for k in range(first, first + len(body))]
+        clean = (len(cells) == len(names) and np.isfinite(data).all()
+                 and list(map(str.strip, dates)) == labels)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise PipelineError(f"{path}: row {row_no}: non-numeric or non-finite value {cell!r}")
-    return value
+        clean = False
+    # A file the walk passes has only valid dates that are not canonical labels,
+    # so `first` and `data` were set above.
+    if not clean:
+        quarters = []
+        for row_no, row in _data_rows(path, rows):
+            where = f"{path}: row {row_no}"
+            try:
+                quarters.append(QuarterIndex.parse(row[0]))
+            except ValueError as exc:
+                raise PipelineError(f"{where}: {exc}") from None
+            if len(quarters) > 1:
+                _check_step(*quarters[-2:], where)
+            for cell in row[1:]:
+                try:
+                    finite = math.isfinite(float(cell))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise PipelineError(f"{where}: non-numeric or non-finite value {cell!r}")
+    return names, QuarterIndex.of_ordinal(first), data
 
 
 def fetch_fred_series(
@@ -246,10 +258,7 @@ def fetch_fred_series(
         vals = np.array([np.mean(by_quarter[k]) for k in keys])
 
     for prev, cur in zip(quarters, quarters[1:]):
-        if cur - prev != 1:
-            raise PipelineError(
-                f"FRED series {series_id!r} is not contiguous around {prev}"
-            )
+        _check_step(prev, cur, f"FRED series {series_id!r}")
     return Series(series_id, quarters[0], vals)
 
 
@@ -408,34 +417,6 @@ def write_panel_csv(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def read_panel_csv(path: str | os.PathLike) -> Dataset:
-    """Inverse of `write_panel_csv`."""
-    path = os.fspath(path)
-    lines = _csv_rows(path)
-    header = lines[0] if lines else []
-    if not header or header[0].strip().lower() != "date":
-        raise PipelineError(f"{path}: first panel column must be 'date'")
-    names = header[1:]
-    if not names:
-        raise PipelineError(f"{path}: no data columns")
-    if len(set(names)) != len(names):
-        raise PipelineError(f"{path}: duplicate column names")
-    quarters, rows = [], []
-    for row_no, row in enumerate(lines[1:], start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise PipelineError(
-                f"{path}: row {row_no}: {len(row)} fields, expected {len(header)}"
-            )
-        try:
-            quarters.append(QuarterIndex.parse(row[0]))
-        except ValueError as exc:
-            raise PipelineError(f"{path}: row {row_no}: {exc}") from None
-        rows.append([_finite(cell, path, row_no) for cell in row[1:]])
-    if not quarters:
-        raise PipelineError(f"{path}: empty panel")
-    for prev, cur in zip(quarters, quarters[1:]):
-        if cur - prev != 1:
-            raise PipelineError(f"{path}: panel quarters not contiguous around {prev}")
-    data = np.array(rows)
-    return Dataset(start=quarters[0], columns={n: data[:, j] for j, n in enumerate(names)})
+    """Inverse of `write_panel_csv`, by `_read_dated`'s rules."""
+    names, start, data = _read_dated(os.fspath(path))
+    return Dataset(start=start, columns=dict(zip(names, data)))

@@ -97,6 +97,23 @@ class TestTransform:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestPanelSource:
+    def test_transformed_panel_matches_snapshot(self, tmp_path):
+        # `[data] panel` reads back the transform's panel.csv: same result, same grid bytes
+        snap = write_config(tmp_path, "[data]\nsnapshot = true\n", name="snap.ini")
+        assert main(["transform", "--config", snap, "--out", str(tmp_path / "t")]) == 0
+        outputs = []
+        for source in ("snapshot = true", f"panel = {tmp_path / 't' / 'panel.csv'}"):
+            cfg = write_config(tmp_path, f"[data]\n{source}\n[inference]\ntheta0 = 0.3, 5.0, 1.0\n"
+                               "[grid]\npoints = 2, 2, 2\n")
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["grid", "--config", cfg, "--out", str(out)]) == 0
+            result = json.loads((out / "test_result.json").read_text())["result"]
+            outputs.append((result, (out / "grid.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 class TestEstimate:
     def test_iac_result_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SNAPSHOT_IAC)

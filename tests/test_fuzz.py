@@ -1,13 +1,14 @@
-"""Fuzzing of the three readers of outside files.
+"""Fuzzing of the four readers of outside files.
 
 Any text must either parse or raise the reader's own named error
-(`PipelineError` or `ConfigError`): never a raw numpy error, `KeyError`,
-`StopIteration` or configparser exception.
+(`PipelineError`, `ConfigError`, or `ValueError` for the grid reader): never
+a raw numpy error, `KeyError`, `StopIteration`, csv or configparser exception.
 """
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eulergmm.config import KNOWN_KEYS, ConfigError, parse_config
+from eulergmm.grids import read_grid_csv
 from eulergmm.pipeline import PipelineError, load_series_csv, read_panel_csv
 
 FUZZ = settings(
@@ -48,6 +49,15 @@ def test_load_series_csv(tmp_path, text):
 @example(text="date,u\n1967Q1,inf\n")
 def test_read_panel_csv(tmp_path, text):
     _check(read_panel_csv, tmp_path / "panel.csv", text, PipelineError)
+
+
+@FUZZ
+@given(text=st.one_of(csv_text, rows.map(lambda r: "a,b,stat\n" + r)))
+@example(text="")
+@example(text="\na,b\n")
+@example(text="a,b\n1,\n")
+def test_read_grid_csv(tmp_path, text):
+    _check(read_grid_csv, tmp_path / "grid.csv", text, ValueError)
 
 
 values = st.one_of(cells, st.lists(cells, min_size=1, max_size=3).map(",".join), st.text())

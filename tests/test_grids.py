@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,16 @@ class TestSummaryAndExport:
         zero.write_text("")
         with pytest.raises(ValueError, match="zero.csv: empty file"):
             read_grid_csv(zero)
+
+    @pytest.mark.parametrize("content", [b"a,b\n1,\xff\xfe\n", b'a,b\n1,"' + b"x" * 200_000, None],
+                             ids=["not-utf8", "field-limit", "missing"])
+    def test_unreadable_file_is_a_value_error_naming_it(self, tmp_path, content):
+        # bytes that are not UTF-8, an unclosed quote over the csv field limit, no file
+        path = tmp_path / "grid.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_grid_csv(path)
 
     def test_read_ragged_row_names_the_row(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -27,6 +27,7 @@ from eulergmm.inference import (
 from eulergmm.models import StructuralParams
 from eulergmm.pipeline import Dataset
 from eulergmm.quarters import QuarterIndex
+from test_acceptance import ma2_null_system, weak_iv_system
 
 
 def toy_system(T=120, k_excluded=3, seed=0, ma=(0.3, 0.1), d_true=0.7):
@@ -238,6 +239,19 @@ class TestSplitSampleStatistic:
         assert r.df == 3
         assert r.variant == "split-S"
 
+    def test_singular_omega_is_an_error_row(self):
+        # y = x / 2 makes every moment vanish at theta = 0.5, where Omega is zero
+        sys_ = weak_iv_system(3)
+        Y = sys_.Y.copy()
+        Y[:, 0] = 0.5 * Y[:, 1]
+        sys_ = dataclasses.replace(sys_, Y=Y)
+        thetas = [0.2, 0.5, 1.0]
+        results = split_sample_s_statistics(thetas, sys_)
+        assert isinstance(results[1], SingularCovarianceError)
+        assert str(results[1]) == "HAC covariance singular even after ridge (split-sample Omega)"
+        for theta, result in zip(thetas[::2], results[::2]):
+            assert result == split_sample_s_statistics([theta], sys_)[0]
+
     def test_subsample_too_short(self):
         sys_ = weak_instrument_system(seed=0, T=30)
         with pytest.raises(ValueError, match="too short"):
@@ -337,6 +351,25 @@ class TestPreconditions:
         good = StructuralParams(0.3, 2.0, 1.0)
         bad, right = split_sample_s_statistics([theta, good], iac)
         assert isinstance(bad, ValueError) and right == split_sample_s_statistic(good, iac)
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf])
+    def test_non_finite_constant_is_named(self, d):
+        # a non-finite d is the caller's fault, not a singular covariance of the data
+        with pytest.raises(ValueError, match=re.escape(f"d is not finite: {d!r}")) as info:
+            cue_objective(ma2_null_system(1), np.array([1.0]), d, HACConfig())
+        assert not isinstance(info.value, SingularCovarianceError)
+
+    @pytest.mark.parametrize("column", ["b", "d_hat"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_qll_row_is_named(self, column, value):
+        # a non-finite row is an error naming it, not a NaN component
+        sys_, cfg = ma2_null_system(1), HACConfig()
+        B, d_hat = np.ones((3, 1)), np.zeros(3)
+        assert np.isfinite(qll_b_component(B, sys_, cfg, d_hat)).all()
+        (B[:, 0] if column == "b" else d_hat)[2] = value
+        message = f"row 2 is not finite: b=[{float(B[2, 0])!r}], d_hat={float(d_hat[2])!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qll_b_component(B, sys_, cfg, d_hat)
 
     def test_huge_coefficients_leak_no_warning(self):
         # u u' overflows: the seed covariance is singular, and no numpy

@@ -1,6 +1,7 @@
 import http.server
 import json
 import math
+import re
 import sys
 import threading
 
@@ -95,6 +96,17 @@ class TestLoadSeriesCsv:
         with pytest.raises(PipelineError, match="no such file"):
             load_series_csv(tmp_path / "nope.csv")
 
+    def test_header_is_exactly_date_value(self, tmp_path):
+        # any case is read; an extra column is refused, not read past
+        p = tmp_path / "a.csv"
+        p.write_text("DATE, Value\n1967Q1,1\n")
+        assert list(load_series_csv(p).values) == [1.0]
+        p.write_text("date,value,note\n1967Q1,1,x\n")
+        with pytest.raises(PipelineError, match=re.escape(
+            "expected header 'date,value', got ['date', 'value', 'note']"
+        )):
+            load_series_csv(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("quarter,value\n1967Q1,1\n")
@@ -140,6 +152,10 @@ def fred_server():
             {"date": "1967-05-01", "value": "8.0"},
             {"date": "1967-06-01", "value": "9.0"},
         ],
+        "GAPPY": [
+            {"date": "1967-01-01", "value": "1.0"},
+            {"date": "1967-07-01", "value": "2.0"},
+        ],
     }
     server = http.server.HTTPServer(("127.0.0.1", 0), _FredHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -159,6 +175,11 @@ class TestFetchFred:
         s = fetch_fred_series("FEDFUNDS", api_key="k", base_url=fred_server)
         assert len(s) == 2
         assert list(s.values) == [5.0, 8.0]
+
+    def test_gap_names_missing_quarter(self, fred_server):
+        # the contiguity rule of the CSV readers, with the series in place of a row
+        with pytest.raises(PipelineError, match="'GAPPY': gap in quarters, missing 1967Q2"):
+            fetch_fred_series("GAPPY", api_key="k", base_url=fred_server)
 
     def test_unknown_series_carries_status(self, fred_server):
         with pytest.raises(PipelineError, match="400"):
@@ -358,6 +379,17 @@ class TestPanelRoundTrip:
         path = tmp_path / "panel.csv"
         path.write_text("")
         with pytest.raises(PipelineError, match="first panel column must be 'date'"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("dates,message", [
+        (("1980Q1", "1980Q2", "1980Q2"), "row 3: duplicate quarter 1980Q2"),
+        (("1980Q2", "1980Q3", "1980Q1"), "row 3: dates not increasing"),
+        (("1980Q1", "1980Q3", "1980Q4"), "row 2: gap in quarters, missing 1980Q2"),
+    ])
+    def test_date_fault_names_the_row(self, tmp_path, dates, message):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,delta_i,r_p\n" + "".join(f"{d},1.0,2.0\n" for d in dates))
+        with pytest.raises(PipelineError, match=f"panel.csv: {message}$"):
             read_panel_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
