@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .design import InstrumentSpec
+from .design import MODELS
 from .hac import HACConfig
 from .inference import STATISTICS, SplitSpec
 from .models import ModelKind
@@ -36,8 +36,8 @@ class RunConfig:
     beta: float = 0.99
     delta: float = 0.025
     rho: float = 0.0  # fixed rho for the SEMI variant
-    # instruments
-    instrument_lags: tuple[tuple[str, int], ...] = InstrumentSpec.lags
+    # instruments; `parse_config` puts the model's own lags where none are given
+    instrument_lags: tuple[tuple[str, int], ...] = MODELS[ModelKind.IAC].instruments.lags
     external: tuple[str, ...] = ()
     # inference
     statistic: str = "S"
@@ -205,6 +205,8 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         if message:
             raise ConfigError(f"{path}: [{section}] {key}: {message}")
         setattr(cfg, attr, value)
+    if not parser.has_option("instruments", "lags"):
+        cfg.instrument_lags = MODELS[cfg.model].instruments.lags
 
     sources = [key for key in ("panel", "series_dir", "snapshot") if getattr(cfg, key)]
     if len(sources) > 1:

@@ -8,7 +8,7 @@ per-observation moment contribution is f_t = Z_t * (Y_t @ b(theta) - X_t @ d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -35,37 +35,22 @@ class ResidualSpec:
 class ModelSpec:
     """One model variant: parameters, regressor order, error and coefficient map.
 
-    `coefficients` and `jacobian` take (params, constants); `fixed` names the
-    parameters a run sets once instead of reading them off a lattice point."""
+    `coefficients` and `jacobian` take (params, constants); `instruments` are
+    the ones a design takes when none are given; `fixed` names the parameters
+    a run sets once instead of reading them off a lattice point."""
 
     params: type
     regressors: tuple[tuple[str, int], ...]
     residual: ResidualSpec
     coefficients: Callable[..., np.ndarray]
     jacobian: Callable[..., np.ndarray]
+    instruments: InstrumentSpec
     fixed: tuple[str, ...] = ()
 
     @cached_property
     def free(self) -> tuple[str, ...]:
         """The parameters of a lattice point, in order."""
         return tuple(f.name for f in fields(self.params) if f.name not in self.fixed)
-
-
-#: The model variants by kind, read by `build_design` and `cli._params`.
-MODELS = {
-    ModelKind.IAC: ModelSpec(
-        models.StructuralParams, models.IAC_REGRESSORS,
-        ResidualSpec(ma_order=2, min_instrument_lag=1),
-        models.iac_coefficients, models.iac_jacobian),
-    ModelKind.SEMI: ModelSpec(
-        models.SemiStructuralParams, models.IAC_REGRESSORS,
-        ResidualSpec(ma_order=2, min_instrument_lag=1),
-        models.semi_coefficients, models.semi_jacobian, fixed=("rho",)),
-    ModelKind.CAC: ModelSpec(
-        models.CACParams, models.CAC_REGRESSORS,
-        ResidualSpec(ma_order=2, min_instrument_lag=2),
-        models.cac_coefficients, models.cac_jacobian),
-}
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,25 @@ TWO_LAG_INSTRUMENTS = InstrumentSpec(
 CAC_INSTRUMENTS = InstrumentSpec(lags=(("delta_i", 2), ("r_p", 3), ("u", 2)))
 
 
-@dataclass
+#: The model variants by kind, read by `build_design` and `cli._params`.
+MODELS = {
+    ModelKind.IAC: ModelSpec(
+        models.StructuralParams, models.IAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=1),
+        models.iac_coefficients, models.iac_jacobian, BASELINE_INSTRUMENTS),
+    ModelKind.SEMI: ModelSpec(
+        models.SemiStructuralParams, models.IAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=1),
+        models.semi_coefficients, models.semi_jacobian, BASELINE_INSTRUMENTS,
+        fixed=("rho",)),
+    ModelKind.CAC: ModelSpec(
+        models.CACParams, models.CAC_REGRESSORS,
+        ResidualSpec(ma_order=2, min_instrument_lag=2),
+        models.cac_coefficients, models.cac_jacobian, CAC_INSTRUMENTS),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class MomentSystem:
     """Immutable design: Y, X, Z, coefficient map, and analytic Jacobian."""
 
@@ -112,14 +115,6 @@ class MomentSystem:
     jacobian: Optional[Callable[[object], np.ndarray]]
     y_labels: list[str]
     z_labels: list[str]
-    model: ModelKind = ModelKind.IAC
-    constants: Optional[CalibratedConstants] = None
-    #: CUE kernels of this design, keyed by their row samples and bandwidths,
-    #: and the qLL-S breakpoint kernel also by ("qLL", HAC config); filled by
-    #: `inference.cue_kernel`, so Y, X and Z must not change after use.
-    cue_kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: The rows that every CUE kernel reads (`inference.CUERows`), made once.
-    cue_rows: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = self.Y.shape[0]
@@ -158,17 +153,19 @@ def _lagged(values: np.ndarray, offset: int, rows: np.ndarray) -> np.ndarray:
 def build_design(
     data: Dataset,
     model: ModelKind | str,
-    instruments: InstrumentSpec = BASELINE_INSTRUMENTS,
+    instruments: Optional[InstrumentSpec] = None,
     constants: Optional[CalibratedConstants] = None,
 ) -> MomentSystem:
     """Assemble the moment system on the maximal window where all leads/lags exist.
 
+    `instruments` default to the model's own (`ModelSpec.instruments`).
     Instrument lags on endogenous columns shallower than the model's minimum
     (dictated by the MA order of the error) are rejected.
     """
     model = ModelKind(model)
     constants = constants or constants_from_calibration(0.99, 0.025)
     spec = MODELS[model]
+    instruments = instruments or spec.instruments
 
     for name, lag in instruments.lags:
         if name in ENDOGENOUS_COLUMNS and lag < spec.residual.min_instrument_lag:
@@ -209,8 +206,6 @@ def build_design(
         jacobian=partial(spec.jacobian, c=constants),
         y_labels=y_labels,
         z_labels=["const"] + instruments.labels(),
-        model=model,
-        constants=constants,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -100,6 +101,20 @@ def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     return x, flagged, singular
 
 
+_PRECOMPUTED = weakref.WeakKeyDictionary()  # system -> {key: precompute}, by identity
+
+
+def _precomputed(sys: MomentSystem, key, build, *args):
+    """build(sys, *args), made once per system and `key`: the system's arrays must
+    not change in place after first use, and its entry dies with it."""
+    own = _PRECOMPUTED.get(sys)
+    if own is None:
+        own = _PRECOMPUTED[sys] = {}
+    if key not in own:
+        own[key] = build(sys, *args)
+    return own[key]
+
+
 @dataclass(frozen=True)
 class CUERows:
     """A system's rows, factored once and read by every CUE kernel of the system.
@@ -115,12 +130,10 @@ class CUERows:
 
     @classmethod
     def of(cls, sys: MomentSystem) -> "CUERows":
-        """The rows of `sys`, cached on it."""
-        if sys.cue_rows is None:
-            U, R = np.linalg.qr(np.column_stack([-sys.X, sys.Y]))
-            M = (U[:, :, None] * sys.Z[:, None, :]).reshape(sys.T, -1)
-            sys.cue_rows = cls(Z=sys.Z, X=sys.X, R=R, M=M)
-        return sys.cue_rows
+        """The rows of `sys`, factored."""
+        U, R = np.linalg.qr(np.column_stack([-sys.X, sys.Y]))
+        M = (U[:, :, None] * sys.Z[:, None, :]).reshape(sys.T, -1)
+        return cls(Z=sys.Z, X=sys.X, R=R, M=M)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -167,10 +180,12 @@ class CUEKernel:
     G: np.ndarray
     H: np.ndarray
 
-    @classmethod
-    def build(cls, sys: MomentSystem, cfg: HACConfig, samples: tuple[slice, ...]) -> "CUEKernel":
+    @staticmethod
+    def build(sys: MomentSystem, cfg: HACConfig, samples: tuple[slice, ...]) -> "CUEKernel":
         """Each sample's rows are demeaned and its bandwidth resolved on its own."""
-        rows = CUERows.of(sys)
+        if sys.k_x != 1:
+            raise ValueError(f"the CUE concentrates out a scalar constant only, got k_x={sys.k_x}")
+        rows = _precomputed(sys, CUERows, CUERows.of)
         M, P = rows.M, rows.R.shape[0]
         (T, Pk), n = M.shape, len(samples)
         lengths = np.array([s.stop - s.start for s in samples])
@@ -192,7 +207,7 @@ class CUEKernel:
                 np.subtract(M[samples[i]], means[i], out=slab[samples[i]])
             H[same] = hac_variance(slabs, HACConfig(B)) * (T / lengths[same])[:, None, None]
         k = Pk // P
-        return cls(
+        return CUEKernel(
             rows=rows, T=lengths, G=sums.reshape(n, P, k).swapaxes(1, 2),
             H=np.ascontiguousarray(H.reshape(n, P, k, P, k).transpose(1, 0, 2, 3, 4)),
         )
@@ -284,15 +299,10 @@ class CUEKernel:
 def cue_kernel(
     sys: MomentSystem, cfg: HACConfig, samples: Optional[tuple[slice, ...]] = None
 ) -> CUEKernel:
-    """The CUE kernel of `samples` (default: all rows) of `sys`, cached on it."""
+    """The CUE kernel of `samples` (default: all rows) of `sys`, built once."""
     samples = samples or (slice(0, sys.T),)
     key = tuple((s.start, s.stop, cfg.resolve_bandwidth(s.stop - s.start)) for s in samples)
-    kern = sys.cue_kernels.get(key)
-    if kern is None:
-        if sys.k_x != 1:
-            raise ValueError(f"the CUE concentrates out a scalar constant only, got k_x={sys.k_x}")
-        kern = sys.cue_kernels[key] = CUEKernel.build(sys, cfg, samples)
-    return kern
+    return _precomputed(sys, key, CUEKernel.build, cfg, samples)
 
 
 def _checked_b(b, sys: MomentSystem) -> np.ndarray:
@@ -634,20 +644,18 @@ def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
     return B, stat, d_hat, flagged, errors
 
 
-def _results(errors: list, variant: str, stat, df, crit, level: float, bandwidth: int,
-             d_hat, flagged) -> list:
+def _results(errors: list, variant: str, stat, df: int, crit: float, level: float,
+             bandwidth: int, d_hat, flagged) -> list:
     """The TestResult of every row without an error, else the row's error or the
-    ValueError its TestResult raised. `df` and `crit` are one value or one per
-    row; `d_hat` is None for a statistic that does not concentrate out d."""
-    n = len(errors)
-    df, crit = (a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in (df, crit))
-    d_hat = [None] * n if d_hat is None else d_hat.tolist()
+    ValueError its TestResult raised. `d_hat` is None for a statistic that does
+    not concentrate out d."""
+    d_hat = [None] * len(errors) if d_hat is None else d_hat.tolist()
     out = []
-    for outcome, s, k, c, d, f in zip(errors, stat.tolist(), df, crit, d_hat, flagged.tolist()):
+    for outcome, s, d, f in zip(errors, stat.tolist(), d_hat, flagged.tolist()):
         if outcome is None:
             try:
                 outcome = TestResult(
-                    statistic=s, df=k, critical_value=c, level=level, accept=s <= c,
+                    statistic=s, df=df, critical_value=crit, level=level, accept=s <= crit,
                     d_hat=d, bandwidth=bandwidth, variant=variant, ridge_flagged=f,
                 )
             except ValueError as exc:
@@ -708,17 +716,12 @@ QLL_CRITICAL_VALUES: dict[tuple[int, float], float] = {
 
 def _breakpoint_kernel(sys: MomentSystem, cfg: HACConfig) -> Optional[CUEKernel]:
     """The CUE kernel of both sides of every breakpoint, None if no breakpoint
-    leaves more than k_z rows on each side; laid out once per system and `cfg`."""
-    key = ("qLL", cfg)
-    if key not in sys.cue_kernels:
-        T = sys.T
-        taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
-        samples = tuple(
-            part for tau in taus if sys.k_z < tau < T - sys.k_z
-            for part in (slice(0, tau), slice(tau, T))
-        )
-        sys.cue_kernels[key] = cue_kernel(sys, cfg, samples) if samples else None
-    return sys.cue_kernels[key]
+    leaves more than k_z rows on each side."""
+    T = sys.T
+    taus = [int(round(frac * T)) for frac in QLL_BREAK_FRACTIONS]
+    samples = tuple(part for tau in taus if sys.k_z < tau < T - sys.k_z
+                    for part in (slice(0, tau), slice(tau, T)))
+    return cue_kernel(sys, cfg, samples) if samples else None
 
 
 def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
@@ -728,17 +731,21 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     full-sample optimum, it detects moment violations that cancel over the
     full sample by evaluating the objective on each side of every candidate
     breakpoint and taking the worst one. For coefficient rows b (N x m) and
-    d_hat (N,) it returns one component per row, BATCH_CHUNK rows at a time;
-    a row is NaN where a subsample covariance is singular even after the ridge.
-    A non-finite coefficient or d_hat is a ValueError naming its row.
+    d_hat (N,), or one d_hat for every row, it returns one component per row,
+    BATCH_CHUNK rows at a time; a row is NaN where a subsample covariance is
+    singular even after the ridge. Other shapes, or a non-finite coefficient or
+    d_hat, are a ValueError naming them.
     """
-    B, d = np.atleast_2d(np.asarray(b, dtype=float)), np.atleast_1d(np.asarray(d_hat, float))
+    B, d = np.atleast_2d(np.asarray(b, dtype=float)), np.asarray(d_hat, dtype=float)
+    if B.ndim != 2 or B.shape[1] != sys.Y.shape[1] or d.ndim > 1 or d.size not in (1, len(B)):
+        raise ValueError(f"b of shape {np.shape(b)} and d_hat of shape {d.shape} do not match: "
+                         f"expected (N, {sys.Y.shape[1]}) and (N,) or one d_hat")
+    d = d.reshape(-1) if d.size == len(B) else np.full(len(B), d)
     if not (np.isfinite(B).all() and np.isfinite(d).all()):
-        d = np.broadcast_to(d, len(B))
         i = int(np.argmin(np.isfinite(B).all(axis=1) & np.isfinite(d)))
         raise ValueError(f"row {i} is not finite: b={B[i].tolist()}, d_hat={float(d[i])!r}")
     out = np.zeros(len(B))
-    kern = _breakpoint_kernel(sys, cfg)
+    kern = _precomputed(sys, ("qLL", cfg), _breakpoint_kernel, cfg)
     if kern is not None:
         for lo in range(0, len(B), BATCH_CHUNK):
             part = slice(lo, lo + BATCH_CHUNK)
@@ -826,10 +833,12 @@ def split_sample_s_statistics(
     Q2, Y2 = Zbar[start2:] @ P1, Ybar[start2:]
 
     ok = np.flatnonzero([e is None for e in errors])
+    J = np.array([J[i] for i in ok])  # the Jacobian of every point left, m x n_p each
+    n_p = J.shape[-1] if ok.size else 0
     stat, flagged = np.full(len(B), np.nan), np.zeros(len(B), bool)
     for lo in range(0, ok.size, BATCH_CHUNK):
         rows = ok[lo:lo + BATCH_CHUNK]
-        v = (Q2 @ np.array([J[i] for i in rows])) * (Y2 @ B[rows, :, None])  # N x T2 x n_p
+        v = (Q2 @ J[lo:lo + BATCH_CHUNK]) * (Y2 @ B[rows, :, None])  # N x T2 x n_p
         s = v.sum(axis=-2)
         x, flagged[rows], singular = _solve_spd_rows(hac_variance(v, cfg), s[..., None])
         stat[rows] = np.einsum("ni,ni->n", s, x[..., 0]) / T2
@@ -837,9 +846,8 @@ def split_sample_s_statistics(
             errors[i] = SingularCovarianceError(
                 "HAC covariance singular even after ridge (split-sample Omega)"
             )
-    df = np.array([0 if j is None else j.shape[1] for j in J])
-    crit = np.array([chi2_quantile(n_p, level) if n_p else np.nan for n_p in df])
-    return _results(errors, "split-S", stat, df, crit, level, cfg.resolve_bandwidth(T2),
+    crit = chi2_quantile(n_p, level) if n_p else math.nan
+    return _results(errors, "split-S", stat, n_p, crit, level, cfg.resolve_bandwidth(T2),
                     None, flagged)
 
 

@@ -1,7 +1,9 @@
 """`tools/ab_bench.py`'s verdicts on synthetic runs, without running the benchmark."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -59,3 +61,34 @@ def test_pair_ratios():
     assert row["pair_ratio"] == 0.75
     # the ratio of the two sides' medians is another number
     assert row["ratio"] == 1.0
+
+
+def summary(wall):
+    return json.dumps({"correct": True, "failed": 0, "metrics": {
+        "wall_s": {"value": wall}, "evals_per_s": {"value": 1.0 / wall}}})
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n", '{"wall_s": 1}'],
+                         ids=["empty", "not-json", "not-a-summary"])
+def test_malformed_run_is_not_clean(tmp_path, monkeypatch, capsys, stdout):
+    # the second run of three pairs prints no summary: it is reported with
+    # its standard error, the other pairs are still run and compared, and the
+    # script exits 1
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [WALL, RATE]}))
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(kwargs["cwd"])
+        out = stdout if len(calls) == 2 else "log line\n" + summary(1.0 + 0.01 * len(calls))
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="the run's stderr")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    monkeypatch.setattr("sys.argv", ["ab_bench.py", "--parent", str(tmp_path), "--change",
+                                     str(tmp_path), "--workload", "w", "--pairs", "3"])
+    assert ab_bench.main() == 1
+    assert len(calls) == 6
+    out, err = capsys.readouterr()
+    assert "printed no JSON summary line:\nthe run's stderr" in err
+    assert "w: 2 of 3 pairs" in out
+    assert "not clean: change pair 1: printed no JSON summary line" in out

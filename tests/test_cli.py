@@ -220,6 +220,20 @@ class TestGrid:
         header = (tmp_path / "o" / "grid.csv").read_text().splitlines()[0]
         assert header == "rho,sigma,zeta,stat,df,crit,accept,error"
 
+    def test_cac_runs_on_its_default_instruments(self, tmp_path):
+        # with no [instruments] lags, CAC takes its own: the lags it takes by hand
+        for name, lags in (("default", ""),
+                           ("given", "[instruments]\nlags = delta_i:2, r_p:3, u:2\n")):
+            cfg = write_config(
+                tmp_path, "[data]\nsnapshot = true\n[model]\nkind = CAC\n" + lags
+                + "[grid]\npoints = 3, 3, 3\n", name=f"{name}.ini")
+            assert main(["grid", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        default, given = ((tmp_path / n / "grid.csv").read_text() for n in ("default", "given"))
+        assert default == given and len(default.splitlines()) == 1 + 27
+        sidecar = json.loads((tmp_path / "default" / "grid.json").read_text())
+        assert sidecar["metadata"]["config"]["instruments"]["lags"] == [
+            ["delta_i", 2], ["r_p", 3], ["u", 2]]
+
     def test_default_lattice_axes_are_model_parameters(self):
         # a lattice axis names the parameter a point's coordinate is read into
         for kind in ModelKind:

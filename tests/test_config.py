@@ -27,6 +27,17 @@ class TestDefaults:
         assert cfg.split_fraction == 0.45 and cfg.split_gap == 3
         assert cfg.rate_scale == 400.0
 
+    @pytest.mark.parametrize("kind, lags", [
+        ("IAC", [["delta_i", 1], ["r_p", 2], ["u", 1]]),
+        ("SEMI", [["delta_i", 1], ["r_p", 2], ["u", 1]]),
+        ("CAC", [["delta_i", 2], ["r_p", 3], ["u", 2]]),
+    ])
+    def test_instrument_lags_default_to_the_models(self, tmp_path, kind, lags):
+        cfg = parse_config(write(tmp_path, f"[model]\nkind = {kind}\n"))
+        assert cfg.effective()["instruments"]["lags"] == lags
+        given = parse_config(write(tmp_path, f"[model]\nkind = {kind}\n[instruments]\nlags = u:3\n"))
+        assert given.instrument_lags == (("u", 3),)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
             parse_config(tmp_path / "absent.ini")

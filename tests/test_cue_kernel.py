@@ -6,7 +6,9 @@ agree with both on the paper's designs.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from eulergmm.hac import HACConfig, hac_variance
 from eulergmm.inference import (
     BATCH_CHUNK,
     CUE_SCAN_POINTS,
+    CUERows,
     NEWTON_XTOL,
     QLL_BREAK_FRACTIONS,
     _minimize_rows,
@@ -93,6 +96,37 @@ class TestKernelCovariance:
         sys_ = systems["IAC"]
         assert cue_kernel(sys_, HACConfig()) is cue_kernel(sys_, HACConfig(bandwidth=4))
         assert cue_kernel(sys_, HACConfig(bandwidth=0)) is not cue_kernel(sys_, HACConfig())
+
+
+class TestPrecomputed:
+    """A system's rows and kernels are made once, held by its identity, and
+    dropped with it."""
+
+    def test_second_call_returns_the_same_objects(self):
+        sys_, cfg = ma2_null_system(3), HACConfig(bandwidth=2)
+        kern = cue_kernel(sys_, cfg)
+        assert cue_kernel(sys_, cfg) is kern
+        qll_s_statistic(np.array([1.0]), sys_, cfg)
+        own = inference._PRECOMPUTED[sys_]
+        sides = tuple((s.start, s.stop, 2) for s in breakpoint_samples(sys_))
+        assert set(own) == {CUERows, ((0, sys_.T, 2),), sides, ("qLL", cfg)}
+        assert own[("qLL", cfg)] is own[sides] and own[sides].rows is kern.rows is own[CUERows]
+        values = list(own.values())
+        qll_s_statistic(np.array([1.0]), sys_, cfg)
+        assert inference._PRECOMPUTED[sys_] is own and list(own.values()) == values
+        # a copy is another system, with precomputes of its own
+        assert cue_kernel(dataclasses.replace(sys_), cfg) is not kern
+
+    def test_entry_dies_with_its_system(self):
+        gc.collect()
+        before = len(inference._PRECOMPUTED)
+        sys_ = ma2_null_system(4)
+        qll_s_statistic(np.array([1.0]), sys_, HACConfig(bandwidth=2))
+        assert len(inference._PRECOMPUTED) == before + 1
+        alive = weakref.ref(sys_)
+        del sys_
+        gc.collect()
+        assert alive() is None and len(inference._PRECOMPUTED) == before
 
 
 def breakpoint_samples(sys_):

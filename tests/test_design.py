@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from eulergmm.design import (
     residuals_and_moments,
 )
 from eulergmm.models import SemiStructuralParams, StructuralParams
-from eulergmm.pipeline import Dataset
+from eulergmm.pipeline import Dataset, TransformSpec
 from eulergmm.quarters import QuarterIndex
+from eulergmm.snapshot import transform_snapshot
 
 
 def synthetic_dataset(n=212, seed=0):
@@ -65,6 +68,15 @@ class TestBuildDesign:
         assert sys_.Y.shape[1] == 9
         assert sys_.df == 3
 
+    @pytest.mark.parametrize("model, spec", [
+        ("IAC", BASELINE_INSTRUMENTS), ("SEMI", BASELINE_INSTRUMENTS), ("CAC", CAC_INSTRUMENTS)])
+    def test_default_instruments_are_the_models_own(self, model, spec):
+        # IAC's depth-1 lags violate CAC's exogeneity rule: CAC takes its own
+        data = transform_snapshot(TransformSpec())
+        sys_ = build_design(data, model)
+        assert sys_.z_labels == ["const"] + spec.labels()
+        assert np.array_equal(sys_.Z, build_design(data, model, spec).Z)
+
     def test_semi_baseline_dimensions(self):
         data = synthetic_dataset(60)
         sys_ = build_design(data, "SEMI", BASELINE_INSTRUMENTS)
@@ -92,6 +104,21 @@ class TestBuildDesign:
         data.columns["oil"] = rng.normal(size=60)
         sys_ = build_design(data, "IAC", InstrumentSpec(external=("oil",)))
         assert sys_.Z[0, -1] == data.column("oil")[2]
+
+
+class TestMomentSystem:
+    def test_frozen_with_only_the_fields_its_callers_read(self):
+        sys_ = build_design(synthetic_dataset(60), "IAC")
+        assert [f.name for f in dataclasses.fields(sys_)] == [
+            "Y", "X", "Z", "coeff", "jacobian", "y_labels", "z_labels"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys_.Y = sys_.Y.copy()
+
+    def test_equal_only_to_itself(self):
+        sys_ = build_design(synthetic_dataset(60), "IAC")
+        twin = dataclasses.replace(sys_)
+        assert sys_ == sys_ and sys_ != twin
+        assert hash(sys_) == object.__hash__(sys_) != hash(twin)
 
 
 class TestResidualsAndMoments:

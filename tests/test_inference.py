@@ -371,6 +371,29 @@ class TestPreconditions:
         with pytest.raises(ValueError, match=re.escape(message)):
             qll_b_component(B, sys_, cfg, d_hat)
 
+    @pytest.mark.parametrize("rows", [5, 70])
+    def test_one_qll_d_hat_serves_every_row(self, rows):
+        # 70 rows span two chunks of BATCH_CHUNK
+        sys_, cfg = ma2_null_system(1), HACConfig()
+        B = np.linspace(0.5, 1.5, rows)[:, None]
+        each = qll_b_component(B, sys_, cfg, np.full(rows, 0.3))
+        assert np.array_equal(qll_b_component(B, sys_, cfg, 0.3), each)
+        assert np.array_equal(qll_b_component(B, sys_, cfg, [0.3]), each)
+
+    @pytest.mark.parametrize("b, d_hat", [
+        (np.ones((5, 1)), np.zeros(3)),
+        (np.ones((70, 1)), np.zeros(5)),
+        (np.ones((5, 1)), np.zeros((5, 1))),
+        (np.ones((5, 2)), 0.0),
+        (np.ones(2), 0.0),
+        (np.ones(1), np.zeros(2)),
+    ])
+    def test_qll_shapes_that_do_not_match_are_named(self, b, d_hat):
+        message = (f"b of shape {np.shape(b)} and d_hat of shape {np.shape(d_hat)} do not "
+                   "match: expected (N, 1) and (N,) or one d_hat")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qll_b_component(b, ma2_null_system(1), HACConfig(), d_hat)
+
     def test_huge_coefficients_leak_no_warning(self):
         # u u' overflows: the seed covariance is singular, and no numpy
         # warning escapes any CUE path

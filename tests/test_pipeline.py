@@ -62,7 +62,8 @@ class TestLoadSeriesCsv:
         with pytest.raises(PipelineError, match="row 2: non-numeric or non-finite"):
             load_series_csv(p)
 
-    @pytest.mark.parametrize("tail", [b"\xff\xfe\n", b'"' + b"x" * 200_000])
+    @pytest.mark.parametrize("tail", [b"\xff\xfe\n", b'"' + b"x" * 200_000],
+                             ids=["not-utf8", "field-limit"])
     def test_unreadable_csv(self, tmp_path, tail):
         # bytes that are not UTF-8, and an unclosed quote over the csv field limit
         p = tmp_path / "a.csv"

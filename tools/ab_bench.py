@@ -18,9 +18,9 @@ change's median is worse than the parent's by more than the bound,
 "unresolved" when the parent's quartiles lie further apart than the bound
 and not every change run beats every parent run, and "within bound"
 otherwise. A run that is not correct, that counts failed
-operations or that exits non-zero is reported as not clean, and the script
-exits 1 after the last pair; a pair with a run that gave no metrics is left
-out of the verdicts.
+operations, that exits non-zero or that prints no JSON summary line is
+reported as not clean, and the script exits 1 after the last pair; a pair
+with a run that gave no metrics is left out of the verdicts.
 """
 
 from __future__ import annotations
@@ -38,17 +38,24 @@ SIDES = ("parent", "change")
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     """The benchmark's summary line of one run in the checkout at `root`.
 
-    A run that exits non-zero has its standard error printed and gives a
-    summary with `correct` false, its exit code and no metrics.
+    A run that exits non-zero, or whose last line of output is not a JSON
+    summary (an object with `correct`, `failed` and `metrics`), has its
+    standard error printed and gives a summary with `correct` false, no
+    metrics and the fault in `error`.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(f"{' '.join(cmd)} in {root} exited with {proc.returncode}:\n{proc.stderr}",
-              file=sys.stderr, flush=True)
-        return {"correct": False, "failed": None, "exit": proc.returncode, "metrics": None}
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    try:
+        summary = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        summary = None
+    if isinstance(summary, dict) and {"correct", "failed", "metrics"} <= summary.keys():
+        return summary
+    error = f"exited with {proc.returncode}" if proc.returncode else "printed no JSON summary line"
+    print(f"{' '.join(cmd)} in {root} {error}:\n{proc.stderr}", file=sys.stderr, flush=True)
+    return {"correct": False, "failed": None, "error": error, "metrics": None}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -117,7 +124,7 @@ def main() -> int:
             runs[side].append(run_once(roots[side], args.workload, i, seconds))
         line = ", ".join(
             f"{side} {runs[side][-1]['metrics']['evals_per_s']['value']:.1f} evals/s"
-            if runs[side][-1]["metrics"] else f"{side} exited with {runs[side][-1]['exit']}"
+            if runs[side][-1]["metrics"] else f"{side} {runs[side][-1]['error']}"
             for side in order)
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): {line}", file=sys.stderr, flush=True)
 
@@ -135,7 +142,7 @@ def main() -> int:
               f"{w['change']}:{w['parent']}:{w['ties']}  {r['regression']}"
               + ("  gain" if r["gain"] else ""))
         print("    pair ratios: " + " ".join(f"{x:.3f}" for x in r["pair_ratios"]))
-    bad = [f"{side} pair {i + 1}: " + (f"exited with {r['exit']}" if r["metrics"] is None
+    bad = [f"{side} pair {i + 1}: " + (r["error"] if r["metrics"] is None
                                         else f"correct={r['correct']} failed={r['failed']}")
            for side in SIDES for i, r in enumerate(runs[side])
            if not r["correct"] or r["failed"]]
