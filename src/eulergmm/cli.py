@@ -66,7 +66,7 @@ def _params(cfg: RunConfig, point) -> object:
 
 def _build_system(cfg: RunConfig, data: Dataset):
     constants = constants_from_calibration(cfg.beta, cfg.delta)
-    instruments = InstrumentSpec(lags=cfg.instrument_lags, external=cfg.external)
+    instruments = InstrumentSpec(lags=cfg.lags(), external=cfg.external)
     return build_design(data, cfg.model, instruments, constants)
 
 

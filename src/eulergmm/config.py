@@ -36,8 +36,8 @@ class RunConfig:
     beta: float = 0.99
     delta: float = 0.025
     rho: float = 0.0  # fixed rho for the SEMI variant
-    # instruments; `parse_config` puts the model's own lags where none are given
-    instrument_lags: tuple[tuple[str, int], ...] = MODELS[ModelKind.IAC].instruments.lags
+    # instruments; None means the model's own lags (`lags`)
+    instrument_lags: Optional[tuple[tuple[str, int], ...]] = None
     external: tuple[str, ...] = ()
     # inference
     statistic: str = "S"
@@ -52,11 +52,18 @@ class RunConfig:
     # output
     out_dir: str = "."
 
+    def lags(self) -> tuple[tuple[str, int], ...]:
+        """The instrument lags in use: those given, else the model's own."""
+        if self.instrument_lags is None:
+            return MODELS[self.model].instruments.lags
+        return self.instrument_lags
+
     def effective(self) -> dict:
         """Fully-resolved key/value view for embedding in outputs."""
         out: dict = {}
         for (section, key), (attr, *_) in _KEYS.items():
-            out.setdefault(section, {})[key] = _plain(getattr(self, attr))
+            value = self.lags() if attr == "instrument_lags" else getattr(self, attr)
+            out.setdefault(section, {})[key] = _plain(value)
         return out
 
 
@@ -205,8 +212,7 @@ def parse_config(path: str | os.PathLike) -> RunConfig:
         if message:
             raise ConfigError(f"{path}: [{section}] {key}: {message}")
         setattr(cfg, attr, value)
-    if not parser.has_option("instruments", "lags"):
-        cfg.instrument_lags = MODELS[cfg.model].instruments.lags
+    cfg.instrument_lags = cfg.lags()
 
     sources = [key for key in ("panel", "series_dir", "snapshot") if getattr(cfg, key)]
     if len(sources) > 1:

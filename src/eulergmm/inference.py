@@ -90,10 +90,12 @@ def _solve_spd_rows(V: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
         pivots = _umath_linalg.cholesky_lo(V).diagonal(axis1=-2, axis2=-1)
         ok = pivots * pivots >= ridge[:, None]
         x = _umath_linalg.solve(V, rhs)
-        flagged, singular = np.zeros(len(V), bool), np.zeros(len(V), bool)
-        # count_nonzero costs a stack of one less than a ufunc reduction would
+        flags = np.zeros((2, len(V)), bool)
+        flagged, singular = flags[0], flags[1]
+        # one count_nonzero decides the stack, and costs a stack of one less
+        # than a ufunc reduction would; only a failing stack is reduced by row
         if np.count_nonzero(ok) < ok.size:
-            flagged = ~ok.all(axis=-1)
+            np.logical_not(ok.all(axis=-1), out=flagged)
             R = V[flagged] + ridge[flagged, None, None] * np.eye(V.shape[-1])
             singular[flagged] = np.isnan(_umath_linalg.cholesky_lo(R)).any(axis=(-2, -1))
             x[flagged] = _umath_linalg.solve(R, rhs[flagged])
@@ -349,6 +351,13 @@ NEWTON_XTOL = 1e-10
 _NEWTON_STEPS = 100
 #: The four scan nodes about a sign change between nodes c and c + 1.
 _NODES = np.arange(-1, 3)
+#: A batch of at most this many rows runs `_minimize_rows`'s control flow on
+#: Python floats: the seed's guards, each root's Newton steps (`_polish`) and
+#: the choice of d_hat. A larger one runs it on arrays, its roots in lockstep.
+#: Both call the same numpy kernels with the same numbers, so they give the
+#: same bits; a numpy call on one row costs more than its arithmetic on
+#: floats, and a masked step over a 64-row chunk's roots less than a loop.
+FLOAT_ROWS = 1
 
 
 def _newton_work(g1: np.ndarray, V2: np.ndarray, m: int) -> np.ndarray:
@@ -396,31 +405,47 @@ def _newton_terms(g0, V0, V1, V2, r: np.ndarray, work: np.ndarray):
     return (dots @ _TERMS)[:, 0].T
 
 
+def _divide(a: float, b: float) -> float:
+    """a / b for floats as numpy divides: a zero b gives a signed infinity, or
+    NaN for a zero or NaN a, where Python raises."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
+
+
+def _cubic_start(S: np.ndarray, tn: np.ndarray) -> np.ndarray:
+    """Where t as a cubic in s through four nodes (S, tn) puts s = 0, for every
+    root (m x 4 each): the Lagrange weights at s = 0 are prod_j s_j / (s_j - s_i)."""
+    D = S[:, None, :] - S[:, :, None]
+    D.reshape(-1, 16)[:, ::5] = S
+    return ((S[:, None, :] / D).prod(axis=-1) * tn).sum(axis=-1)
+
+
 def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
     """Slope roots in every - to + sign change of the scan: (rows, roots, q).
 
     Lockstep Newton steps on the slope dq of q(t) = g'V^-1 g, one
     `_newton_terms` solve per step, from the root of the cubic through the
     slope at the four scan nodes about each sign change (t as a function of
-    s): it needs no solve, and starts 10 to 100 times closer to the root
-    than the regula-falsi point. A step that would leave the bracket, or
-    that is more than half the step before last (the slope's rounding noise
-    at an ill-conditioned V), bisects instead. A root stops once Newton's predicted error after its step,
-    |d3q / (2 d2q)| dt^2, is below NEWTON_XTOL se / 4, or once a step is below
-    NEWTON_XTOL se. q ranks the roots: the Newton model's minimum
-    q - dq^2 / (2 d2q) at the last evaluated iterate (q there after a bisection).
+    s, `_cubic_start`): it needs no solve, and starts 10 to 100 times closer
+    to the root than the regula-falsi point. A step that would leave the
+    bracket, or that is more than half the step before last (the slope's
+    rounding noise at an ill-conditioned V), bisects instead. A root stops
+    once Newton's predicted error after its step, |d3q / (2 d2q)| dt^2, is
+    below NEWTON_XTOL se / 4, or once a step is below NEWTON_XTOL se. q ranks
+    the roots: the Newton model's minimum q - dq^2 / (2 d2q) at the last
+    evaluated iterate (q there after a bisection). A batch of at most
+    FLOAT_ROWS rows takes the same steps with its control flow on floats
+    (`_polish_floats`).
     """
+    if len(t) <= FLOAT_ROWS:
+        return _polish_floats(g0, g1, V0, V1, V2, t, s, se)
     rows, cols = ((s[:, :-1] < 0.0) & (s[:, 1:] >= 0.0)).nonzero()
-    roots, q = np.empty(rows.size), np.empty(rows.size)
     lo, hi = t[rows, cols], t[rows, cols + 1]
-    # start where t as a cubic in s through the four nodes about the sign
-    # change puts s = 0 (the Lagrange weights at s = 0 are prod_j s_j / (s_j - s_i)),
-    # held inside the bracket
+    # start at the cubic's root, held inside the bracket
     nodes = np.minimum(np.maximum(cols, 1), s.shape[1] - 3)[:, None] + _NODES
-    S = s[rows[:, None], nodes]
-    D = S[:, None, :] - S[:, :, None]
-    D.reshape(-1, 16)[:, ::5] = S
-    r = ((S[:, None, :] / D).prod(axis=-1) * t[rows[:, None], nodes]).sum(axis=-1)
+    r = _cubic_start(s[rows[:, None], nodes], t[rows[:, None], nodes])
+    roots, q = np.empty(rows.size), np.empty(rows.size)
     r = np.fmin(np.fmax(r, lo), hi)
     live, tol = np.arange(rows.size), NEWTON_XTOL * se[rows]
     half_tol = 0.5 * tol
@@ -453,6 +478,57 @@ def _polish(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
             a[going] for a in (live, new, lo, hi, tol, half_tol, older, last, g0, V0, V1, work)
         )
     return rows, roots, q
+
+
+def _polish_floats(g0, g1, V0, V1, V2, t: np.ndarray, s: np.ndarray, se: np.ndarray):
+    """`_polish` with its control flow on Python floats: (rows, roots, q) as lists.
+
+    The sign changes, each root's bracket, step and stop are the array
+    route's arithmetic in its order, on floats; the cubic start and every
+    step's `_newton_terms` call, on the live roots together, are its numpy
+    code. So the roots and q are the bits the array route gives them.
+    """
+    found = []  # (row, lo, hi, s and t at the four nodes) of every sign change
+    for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
+        for c in range(len(si) - 1):
+            if si[c] < 0.0 and si[c + 1] >= 0.0:
+                j = min(max(c, 1), len(si) - 3) - 1
+                found.append((i, ti[c], ti[c + 1], si[j:j + 4], ti[j:j + 4]))
+    if not found:
+        return [], [], []
+    rows, lo, hi, S, tn = map(list, zip(*found))
+    r = _cubic_start(np.array(S), np.array(tn)).tolist()
+    r = [a if x != x else min(max(x, a), b) for x, a, b in zip(r, lo, hi)]  # fmin(fmax(r, lo), hi)
+    tol = [NEWTON_XTOL * x for x in se[rows].tolist()]
+    older = [b - a for a, b in zip(lo, hi)]  # sizes of the last two steps
+    last, q, live = older[:], [math.nan] * len(r), list(range(len(r)))
+    g0, V0, V1, work = g0[rows], V0[rows], V1[rows], _newton_work(g1, V2, len(rows))
+    for step in range(_NEWTON_STEPS):
+        terms = _newton_terms(g0, V0, V1, V2, np.array([r[i] for i in live]), work)
+        going = []
+        for j, (i, qr, slope, curve, third) in enumerate(zip(live, *terms.tolist())):
+            if slope < 0.0:
+                lo[i] = r[i]
+            else:
+                hi[i] = r[i]
+            dt = _divide(slope, curve)
+            new = r[i] - dt
+            newton = lo[i] <= new <= hi[i] and abs(dt) <= 0.5 * older[i]
+            if not newton:
+                new = 0.5 * (lo[i] + hi[i])
+            older[i], last[i], r[i] = last[i], abs(new - r[i]), new
+            # a Newton step whose predicted error |d3q / (2 d2q)| dt^2 is below tol / 4
+            close = newton and abs(third * dt * dt) < 0.5 * tol[i] * abs(curve)
+            if last[i] > tol[i] and not close and step < _NEWTON_STEPS - 1:
+                going.append(j)
+            else:
+                q[i] = qr - 0.5 * slope * dt if newton else qr
+        if not going:
+            break
+        if len(going) < len(live):
+            live = [live[j] for j in going]
+            g0, V0, V1, work = (a[going] for a in (g0, V0, V1, work))
+    return rows, r, q
 
 
 def _systems(forms: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -518,6 +594,57 @@ def _scan(g0, g1, V0, V1, V2, t: np.ndarray):
     return x, Vx.sum(axis=0), (g_ends * x[:, :, ::m - 1]).sum(axis=0)
 
 
+def _bracket(num: np.ndarray, denom: np.ndarray, d1: np.ndarray, T: int):
+    """(t0, se) of every row: the two-step estimate t0 = num / denom (in t = d -
+    d1) and its standard error sqrt(T / denom), at least 1e-12. Where denom is
+    not positive, t0 = 0 and se = max(1, |d1|); where t0 is not finite, 0 and
+    1. A batch of at most FLOAT_ROWS rows takes these guards on floats."""
+    if len(d1) <= FLOAT_ROWS:
+        return np.array([_bracket_floats(*a, T) for a in zip(
+            num.tolist(), denom.tolist(), d1.tolist())]).T
+    t0, se = num / denom, np.sqrt(T / denom)
+    if not np.isfinite(t0 * se).all():  # denom <= 0, or t0 not finite
+        flat = ~(denom > 0)
+        t0[flat], se[flat] = 0.0, np.maximum(1.0, np.abs(d1[flat]))
+        bad = ~np.isfinite(t0)
+        t0[bad], se[bad] = 0.0, 1.0
+    return t0, np.maximum(se, 1e-12)
+
+
+def _bracket_floats(num: float, denom: float, d1: float, T: int) -> tuple[float, float]:
+    """`_bracket` of one row on floats."""
+    if not denom > 0.0:
+        return 0.0, max(1.0, abs(d1))
+    t0 = num / denom
+    if not math.isfinite(t0):
+        return 0.0, 1.0
+    return t0, max(math.sqrt(T / denom), 1e-12)
+
+
+def _best(t0, t, q_ends, rows, roots, q_roots) -> np.ndarray:
+    """The t of every row's candidate with the lowest finite q, or t0 where
+    none is finite. A row's candidates are its two bracket ends, then its
+    roots, and a tie keeps the first. A batch of at most FLOAT_ROWS rows
+    chooses on floats."""
+    n = len(t)
+    if n <= FLOAT_ROWS:
+        best, low = t0.tolist(), [math.inf] * n
+        owners = [i for i in range(n) for _ in (0, 1)] + rows
+        for i, q, c in zip(owners, q_ends.ravel().tolist() + q_roots,
+                           t[:, ::t.shape[1] - 1].ravel().tolist() + roots):
+            if -math.inf < q < low[i]:
+                low[i], best[i] = q, c
+        return np.array(best)
+    ar = np.arange(n)
+    owner = np.concatenate([ar, ar, rows])
+    cand_q = np.concatenate([q_ends[:, 0], q_ends[:, 1], q_roots])
+    cand_t = np.concatenate([t[:, 0], t[:, -1], roots])
+    cand_q[~np.isfinite(cand_q)] = np.inf
+    order = np.lexsort((cand_q, owner))
+    pick = order[owner[order].searchsorted(ar)]
+    return np.where(cand_q[pick] < np.inf, cand_t[pick], t0)
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     """`minimize_cue` for every coefficient row of B, each step stacked over the rows.
@@ -537,30 +664,13 @@ def _minimize_rows(kern: CUEKernel, B: np.ndarray, T: int):
     rhs = np.empty(g0.shape + (2,))
     rhs[..., 0], rhs[..., 1] = g0, -g1
     sol, _, seed_singular = _solve_spd_rows(V0, rhs)
-    num, denom = (-g1 @ sol).T
-    t0, se = num / denom, np.sqrt(T / denom)
-    if not np.isfinite(t0 * se).all():  # denom <= 0, or t0 not finite
-        flat = ~(denom > 0)
-        t0[flat], se[flat] = 0.0, np.maximum(1.0, np.abs(d1[flat]))
-        bad = ~np.isfinite(t0)
-        t0[bad], se[bad] = 0.0, 1.0
-    se = np.maximum(se, 1e-12)
+    t0, se = _bracket(*(-g1 @ sol).T, d1, T)
 
     # scan the bracket t0 +- 10 se, polish every slope root, keep the lowest
     # of those minima and the two bracket ends
     t = t0[:, None] + se[:, None] * _SCAN
     _, s, q_ends = _scan(g0, g1, V0, V1, V2, t)
-    rows, roots, q_roots = _polish(g0, g1, V0, V1, V2, t, s, se)
-    # candidates in the order both ends, then the roots, so ties keep the first
-    n = len(t)
-    ar = np.arange(n)
-    owner = np.concatenate([ar, ar, rows])
-    cand_q = np.concatenate([q_ends[:, 0], q_ends[:, 1], q_roots])
-    cand_t = np.concatenate([t[:, 0], t[:, -1], roots])
-    cand_q[~np.isfinite(cand_q)] = np.inf
-    order = np.lexsort((cand_q, owner))
-    pick = order[owner[order].searchsorted(ar)]
-    best = np.where(cand_q[pick] < np.inf, cand_t[pick], t0)
+    best = _best(t0, t, q_ends, *_polish(g0, g1, V0, V1, V2, t, s, se))
 
     # the statistic, the ridge flag and the error come from the factorization at d_hat
     bb = best[:, None, None]
@@ -744,6 +854,13 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
     if not (np.isfinite(B).all() and np.isfinite(d).all()):
         i = int(np.argmin(np.isfinite(B).all(axis=1) & np.isfinite(d)))
         raise ValueError(f"row {i} is not finite: b={B[i].tolist()}, d_hat={float(d[i])!r}")
+    out = _sup_split(B, d, sys, cfg)
+    return float(out[0]) if np.ndim(b) == 1 else out
+
+
+def _sup_split(B: np.ndarray, d: np.ndarray, sys: MomentSystem, cfg: HACConfig) -> np.ndarray:
+    """`qll_b_component` of coefficient rows B (N x m) at d (N,), unchecked: a
+    row that is not finite gives NaN."""
     out = np.zeros(len(B))
     kern = _precomputed(sys, ("qLL", cfg), _breakpoint_kernel, cfg)
     if kern is not None:
@@ -751,7 +868,7 @@ def qll_b_component(b: np.ndarray, sys: MomentSystem, cfg: HACConfig, d_hat):
             part = slice(lo, lo + BATCH_CHUNK)
             sides = kern.objectives(B[part], d[part])  # row x (breakpoint, side)
             np.maximum((sides[:, ::2] + sides[:, 1::2]).max(axis=1), 0.0, out=out[part])
-    return float(out[0]) if np.ndim(b) == 1 else out
+    return out
 
 
 def qll_s_statistics(
@@ -768,13 +885,12 @@ def qll_s_statistics(
             f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
         )
     B, s, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
-    ok = np.flatnonzero([e is None for e in errors])
-    stat = np.full(len(errors), np.nan)
-    stat[ok] = qll_b_component(B[ok], sys, cfg, d_hat[ok])
-    for i in ok[~np.isfinite(stat[ok])]:
-        errors[i] = SingularCovarianceError(
-            f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
-        )
+    stat = _sup_split(B, d_hat, sys, cfg)
+    for i in np.flatnonzero(~np.isfinite(stat)):
+        if errors[i] is None:  # a row with an error has NaN in B or d_hat
+            errors[i] = SingularCovarianceError(
+                f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
+            )
     stat += (10.0 / 11.0) * s
     return _results(errors, "qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
                     cfg.resolve_bandwidth(sys.T), d_hat, flagged)

@@ -92,3 +92,34 @@ def test_malformed_run_is_not_clean(tmp_path, monkeypatch, capsys, stdout):
     assert "printed no JSON summary line:\nthe run's stderr" in err
     assert "w: 2 of 3 pairs" in out
     assert "not clean: change pair 1: printed no JSON summary line" in out
+
+
+@pytest.mark.parametrize("cached", [("parent",), ("change",), ("parent", "change"), ()])
+def test_bytecode_on_one_side_only_is_refused(tmp_path, monkeypatch, capsys, cached):
+    # one checkout with .pyc files in the package's cache and one without: exit 2
+    # before any run, naming the directory; both or neither: the pairs run
+    roots = {side: tmp_path / side for side in ab_bench.SIDES}
+    for side, root in roots.items():
+        (root / ab_bench.BYTECODE).mkdir(parents=True)
+        (root / ab_bench.BYTECODE / "notes.txt").write_text("not bytecode")
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [WALL, RATE]}))
+        if side in cached:
+            (root / ab_bench.BYTECODE / "inference.cpython-311.pyc").write_bytes(b"")
+    runs = []
+
+    def run(cmd, **kwargs):
+        runs.append(kwargs["cwd"])
+        return subprocess.CompletedProcess(cmd, 0, stdout=summary(1.0), stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    monkeypatch.setattr("sys.argv", ["ab_bench.py", "--parent", str(roots["parent"]),
+                                     "--change", str(roots["change"]), "--workload", "w",
+                                     "--pairs", "1"])
+    if len(cached) == 1:
+        assert ab_bench.main() == 2
+        assert runs == []
+        assert str(roots[cached[0]] / ab_bench.BYTECODE) in capsys.readouterr().err
+    else:
+        assert ab_bench.main() == 0
+        assert len(runs) == 2

@@ -27,6 +27,7 @@ from eulergmm.grids import (
     invert_test,
     make_grid,
 )
+from eulergmm.hac import HACConfig
 from eulergmm.inference import (
     BATCH_CHUNK,
     qll_s_statistic,
@@ -39,7 +40,7 @@ from eulergmm.inference import (
 from eulergmm.models import LITERATURE_POINTS, SemiStructuralParams, StructuralParams
 from eulergmm.pipeline import TransformSpec
 from eulergmm.snapshot import transform_snapshot
-from test_acceptance import weak_iv_system
+from test_acceptance import ma2_null_system, weak_iv_system
 
 STATISTICS = {
     "S": (s_statistics, s_statistic),
@@ -132,6 +133,63 @@ class TestBatchOfOne:
             clean, mixed = batch(thetas, systems["SEMI"]), batch(bad, systems["SEMI"])
             assert isinstance(mixed[5], AttributeError)
             assert_same(mixed[:5] + mixed[6:], clean)
+
+
+class TestMonteCarloSystems:
+    """Fresh MA(2) null systems at T = 200 with two Bartlett lags, drawn as the
+    benchmark's size loops draw them, where every per-point call is a batch of
+    one on a new system."""
+
+    @pytest.mark.parametrize("statistic, stream", [("S", 1), ("qll", 2)])
+    def test_batch_matches_batch_of_one(self, statistic, stream):
+        cfg = HACConfig(bandwidth=2)
+        thetas = [np.array([b]) for b in np.linspace(-1.0, 3.0, BATCH_CHUNK)]
+        batch, single = STATISTICS[statistic]
+        for rep in range(20):
+            sys_ = ma2_null_system([stream, rep])
+            assert_same(batch(thetas, sys_, cfg),
+                        per_point(lambda theta, s: single(theta, s, cfg), thetas, sys_))
+
+
+class TestRoutes:
+    """A batch of at most FLOAT_ROWS rows minimises with its control flow on
+    floats, a 64-row chunk on arrays: the lattices above compare the two."""
+
+    def test_batch_of_one_takes_the_float_route(self, systems, monkeypatch):
+        calls = {"_bracket_floats": 0, "_polish_floats": 0}
+
+        def spy(name):
+            fn = getattr(inference, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(inference, name, spy(name))
+        sys_, thetas = lattice(systems, "SEMI 0")
+        s_statistic(thetas[0], sys_)
+        assert calls == {"_bracket_floats": 1, "_polish_floats": 1}
+        s_statistics(thetas[:BATCH_CHUNK], sys_)
+        assert calls == {"_bracket_floats": 1, "_polish_floats": 1}
+
+    def test_both_routes_choose_alike(self):
+        # the lowest finite q; a tie goes to the first of ends-then-roots, and
+        # a row with no finite q keeps t0
+        t = np.linspace(-1.0, 1.0, 65) + np.arange(5.0)[:, None]
+        t0 = np.arange(5.0) + 0.25
+        q_ends = np.array([[1.0, 1.0], [2.0, np.nan], [np.inf, -np.inf], [3.0, 2.0],
+                           [np.nan, np.nan]])
+        rows, roots, q = [0, 1, 1, 3, 3], [0.1, 1.2, 1.3, 3.4, 3.5], [1.0, 1.0, 0.5, 2.0, 2.0]
+        expected = [t[0, 0], 1.3, t0[2], t[3, -1], t0[4]]
+        stacked = inference._best(t0, t, q_ends, np.array(rows), np.array(roots), np.array(q))
+        assert stacked.tolist() == expected
+        for i in range(len(t)):
+            mine = [j for j, row in enumerate(rows) if row == i]
+            alone = inference._best(t0[i:i + 1], t[i:i + 1], q_ends[i:i + 1], [0] * len(mine),
+                                    [roots[j] for j in mine], [q[j] for j in mine])
+            assert alone.tolist() == [expected[i]]
 
 
 class TestSplitReference:

@@ -10,7 +10,8 @@ import pytest
 
 import eulergmm
 from eulergmm import snapshot
-from eulergmm.cli import _DEFAULT_GRIDS, build_parser, main
+from eulergmm.cli import _DEFAULT_GRIDS, _build_system, _dataset, build_parser, main
+from eulergmm.config import RunConfig, parse_config
 from eulergmm.design import MODELS
 from eulergmm.models import ModelKind
 from eulergmm.pipeline import read_panel_csv
@@ -233,6 +234,21 @@ class TestGrid:
         sidecar = json.loads((tmp_path / "default" / "grid.json").read_text())
         assert sidecar["metadata"]["config"]["instruments"]["lags"] == [
             ["delta_i", 2], ["r_p", 3], ["u", 2]]
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_config_built_in_code_takes_the_models_lags(self, tmp_path, kind):
+        # a RunConfig made in code builds the system the parsed default config
+        # builds, and names the lags it used
+        built = RunConfig(model=kind, snapshot=True)
+        parsed = parse_config(write_config(
+            tmp_path, f"[data]\nsnapshot = true\n[model]\nkind = {kind.value}\n"))
+        data = _dataset(parsed)
+        a, b = _build_system(built, data), _build_system(parsed, data)
+        assert np.array_equal(a.Y, b.Y) and np.array_equal(a.Z, b.Z)
+        assert (a.y_labels, a.z_labels) == (b.y_labels, b.z_labels)
+        lags = [list(lag) for lag in MODELS[kind].instruments.lags]
+        assert built.effective() == parsed.effective()
+        assert built.effective()["instruments"]["lags"] == lags
 
     def test_default_lattice_axes_are_model_parameters(self):
         # a lattice axis names the parameter a point's coordinate is read into

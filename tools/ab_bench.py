@@ -21,6 +21,10 @@ otherwise. A run that is not correct, that counts failed
 operations, that exits non-zero or that prints no JSON summary line is
 reported as not clean, and the script exits 1 after the last pair; a pair
 with a run that gave no metrics is left out of the verdicts.
+
+It exits 2 before any run when one checkout's `src/eulergmm/__pycache__`
+holds `.pyc` files and the other's does not: one side would import from
+bytecode, which moves set-up time and memory on code that did not change.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+#: The package's bytecode cache, relative to a checkout's root.
+BYTECODE = os.path.join("src", "eulergmm", "__pycache__")
+
+
+def holds_bytecode(root: str) -> bool:
+    """Whether the checkout at `root` has `.pyc` files in its package's cache."""
+    path = os.path.join(root, BYTECODE)
+    return os.path.isdir(path) and any(name.endswith(".pyc") for name in os.listdir(path))
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -113,6 +125,11 @@ def main() -> int:
         p.error("--pairs must be at least 1")
 
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    cached = [side for side in SIDES if holds_bytecode(roots[side])]
+    if len(cached) == 1:
+        print(f"{os.path.join(roots[cached[0]], BYTECODE)} holds .pyc files and the other "
+              "checkout's does not: remove them, or cache both", file=sys.stderr)
+        return 2
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
