@@ -7,15 +7,8 @@ covers most of the parameter box, so point estimates of adjustment costs
 from this Euler equation should be read with caution.
 """
 
-from eulergmm import (
-    BASELINE_INSTRUMENTS,
-    InvestmentMeasure,
-    StructuralParams,
-    TransformSpec,
-    build_design,
-    s_statistic,
-)
-from eulergmm.grids import AxisSpec, GridSpec, export_grid, invert_test, set_summary
+from eulergmm import BASELINE_INSTRUMENTS, InvestmentMeasure, TransformSpec, build_design
+from eulergmm.grids import AxisSpec, GridSpec, export_grid, invert_lattice, set_summary
 from eulergmm.snapshot import transform_snapshot
 
 
@@ -31,10 +24,8 @@ def main():
         )
     )
 
-    def evaluator(point):
-        return s_statistic(StructuralParams(*point), system, level=0.90)
-
-    grid = invert_test(evaluator, spec, 0.90)
+    # every lattice point in one batch: the S test at each (rho, kappa, zeta)
+    grid = invert_lattice(system, "IAC", spec, "S", level=0.90)
     summary = set_summary(grid)
 
     print(

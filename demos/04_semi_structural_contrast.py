@@ -12,13 +12,11 @@ fit, and the set blows up.
 from eulergmm import (
     BASELINE_INSTRUMENTS,
     InvestmentMeasure,
-    SemiStructuralParams,
     TransformSpec,
     build_design,
     first_stage_diagnostics,
-    s_statistic,
 )
-from eulergmm.grids import AxisSpec, GridSpec, invert_test, set_summary
+from eulergmm.grids import AxisSpec, GridSpec, invert_lattice, set_summary
 from eulergmm.snapshot import transform_snapshot
 
 PHI_K = 0.03475
@@ -36,10 +34,8 @@ def main():
     )
 
     for rho in (0.0, 0.3, 0.6, 0.9):
-        def evaluator(point, rho=rho):
-            return s_statistic(SemiStructuralParams(rho, *point), system, level=0.90)
-
-        grid = invert_test(evaluator, spec, 0.90)
+        # the (varphi, phi) lattice in one batch, at this fixed rho
+        grid = invert_lattice(system, "SEMI", spec, "S", level=0.90, fixed={"rho": rho})
         summary = set_summary(grid)
         stages = first_stage_diagnostics(rho, system, PHI_K)
         r2 = {s["name"]: s["r2"] for s in stages}

@@ -15,11 +15,13 @@ import json
 import os
 import sys
 
-from . import __version__, grids, snapshot
+import numpy as np
+
+from . import __version__, grids, inference, snapshot
 from .config import ConfigError, RunConfig, parse_config
 from .design import MODELS, InstrumentSpec, build_design
 from .hac import HACConfig
-from .inference import STATISTICS, SplitSpec
+from .inference import SplitSpec
 from .models import ModelKind, constants_from_calibration
 from .pipeline import (
     Dataset,
@@ -55,15 +57,6 @@ def _dataset(cfg: RunConfig) -> Dataset:
     )
 
 
-def _params(cfg: RunConfig, point) -> object:
-    spec = MODELS[cfg.model]
-    point = tuple(float(x) for x in point)
-    if len(point) != len(spec.free):
-        raise ValueError(f"{cfg.model.value} needs theta0 = {','.join(spec.free)}; got {point}")
-    fixed = {name: getattr(cfg, name) for name in spec.fixed}
-    return spec.params(**fixed, **dict(zip(spec.free, point)))
-
-
 def _build_system(cfg: RunConfig, data: Dataset):
     constants = constants_from_calibration(cfg.beta, cfg.delta)
     instruments = InstrumentSpec(lags=cfg.lags(), external=cfg.external)
@@ -91,7 +84,11 @@ def cmd_estimate(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("estimate requires [inference] theta0")
     data = _dataset(cfg)
     sys_ = _build_system(cfg, data)
-    [result] = _evaluate_lattice(cfg, sys_, [cfg.theta0])
+    theta0, free = tuple(float(x) for x in cfg.theta0), MODELS[cfg.model].free
+    if len(theta0) != len(free):
+        raise ValueError(f"{cfg.model.value} needs theta0 = {','.join(free)}; got {theta0}")
+    [result] = inference.lattice_columns(
+        cfg.statistic, cfg.model, np.array([theta0]), sys_, **_inference_args(cfg)).results()
     if isinstance(result, Exception):
         raise result
     os.makedirs(out_dir, exist_ok=True)
@@ -125,21 +122,14 @@ def _grid_spec(cfg: RunConfig) -> grids.GridSpec:
     return grids.GridSpec(axes=axes, extra_points=spec.extra_points)
 
 
-def _evaluate_lattice(cfg: RunConfig, sys_, points) -> list:
-    """One TestResult, or the exception raised, per point, evaluated as one batch."""
-    outcomes, params = [], []
-    for point in points:
-        try:
-            params.append(_params(cfg, point))
-            outcomes.append(None)
-        except ValueError as exc:
-            outcomes.append(exc)
-    layout = {}
-    if cfg.statistic == "split":  # the one test with layout keys
-        layout["split"] = SplitSpec(cfg.split_fraction, cfg.split_gap)
-    results = iter(STATISTICS[cfg.statistic](
-        params, sys_, cfg=HACConfig(bandwidth=cfg.bandwidth), level=cfg.level, **layout))
-    return [next(results) if o is None else o for o in outcomes]
+def _inference_args(cfg: RunConfig) -> dict:
+    """The model's fixed parameters, HAC, level and split layout of a run."""
+    return {
+        "fixed": {name: getattr(cfg, name) for name in MODELS[cfg.model].fixed},
+        "cfg": HACConfig(bandwidth=cfg.bandwidth),
+        "level": cfg.level,
+        "split": SplitSpec(cfg.split_fraction, cfg.split_gap),
+    }
 
 
 def cmd_grid(cfg: RunConfig, out_dir: str) -> int:
@@ -151,10 +141,8 @@ def cmd_grid(cfg: RunConfig, out_dir: str) -> int:
         "sample": [str(data.start), str(data.end)],
         "bandwidth": HACConfig(bandwidth=cfg.bandwidth).resolve_bandwidth(sys_.T),
     }
-    points = grids.make_grid(spec)
-    result = grids.collect_results(
-        spec, cfg.level, points, _evaluate_lattice(cfg, sys_, points), metadata=metadata
-    )
+    result = grids.invert_lattice(sys_, cfg.model, spec, cfg.statistic, metadata=metadata,
+                                  **_inference_args(cfg))
     os.makedirs(out_dir, exist_ok=True)
     csv_path, json_path = grids.export_grid(result, os.path.join(out_dir, "grid"))
     accepted, total = int(result.accepts.sum()), len(result.accepts)

@@ -86,7 +86,8 @@ TWO_LAG_INSTRUMENTS = InstrumentSpec(
 CAC_INSTRUMENTS = InstrumentSpec(lags=(("delta_i", 2), ("r_p", 3), ("u", 2)))
 
 
-#: The model variants by kind, read by `build_design` and `cli._params`.
+#: The model variants by kind, read by `build_design` and by a lattice's
+#: column map (`inference.lattice_columns`).
 MODELS = {
     ModelKind.IAC: ModelSpec(
         models.StructuralParams, models.IAC_REGRESSORS,

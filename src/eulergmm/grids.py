@@ -12,7 +12,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .inference import TestResult
+from .design import MomentSystem
+from .hac import HACConfig
+from .inference import Columns, SplitSpec, TestResult, lattice_columns
+from .models import ModelKind
 from .pipeline import _csv_rows, _data_rows
 
 
@@ -132,6 +135,46 @@ class ConfidenceGrid:
                 raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
 
 
+def confidence_grid(
+    spec: GridSpec,
+    level: float,
+    points: np.ndarray,
+    cols: Columns,
+    metadata: Optional[dict] = None,
+) -> ConfidenceGrid:
+    """The confidence set from the outcome columns of its lattice's points.
+
+    The set takes the columns' one `variant` as its label; columns of more
+    than one test are a ValueError. An error row is recorded as rejected with
+    its error flag set; more than 50% failing points aborts the run, naming
+    the first 10 failures in lattice order.
+    """
+    n = points.shape[0]
+    failed = sorted(cols.errors)
+    if len(failed) > 0.5 * n:
+        raise RuntimeError(
+            f"evaluator failed on {len(failed)}/{n} lattice points; first failures: "
+            + "; ".join(f"point {points[i].tolist()}: {cols.errors[i]}" for i in failed[:10])
+        )
+    variants = sorted(set(cols.variants))
+    if len(variants) > 1:
+        raise ValueError(f"results of more than one test: {', '.join(variants)}")
+    errors = np.zeros(n, dtype=int)
+    errors[failed] = 1
+    return ConfidenceGrid(
+        spec=spec,
+        level=level,
+        points=points,
+        stats=cols.stat,
+        dfs=cols.df,
+        crits=cols.crit,
+        accepts=cols.accept.astype(int),
+        errors=errors,
+        variant=variants[0] if variants else "S",
+        metadata=dict(metadata or {}),
+    )
+
+
 def collect_results(
     spec: GridSpec,
     level: float,
@@ -139,54 +182,45 @@ def collect_results(
     outcomes: Sequence,
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
-    """The confidence set from one TestResult, or the exception raised, per point.
-
-    The set takes its results' `variant` as its label; results of more than one
-    test are a ValueError. A point whose outcome is an exception is recorded as
-    rejected with its error flag set; more than 50% failing points aborts the
-    run, naming the first 10 failures in lattice order.
-    """
+    """The confidence set from one TestResult, or the exception raised, per point,
+    by `confidence_grid` on the outcomes' columns."""
     n = points.shape[0]
     if len(outcomes) != n:
         raise ValueError(f"{len(outcomes)} outcomes for {n} lattice points")
-    stats = np.full(n, np.nan)
-    dfs = np.zeros(n, dtype=int)
-    crits = np.full(n, np.nan)
-    accepts = np.zeros(n, dtype=int)
-    errors = np.zeros(n, dtype=int)
-    messages: list[str] = []
-    variants = set()
+    stat, crit = np.full(n, np.nan), np.full(n, np.nan)
+    df, accept = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    errors, variants = {}, set()
     for i, r in enumerate(outcomes):
         if isinstance(r, Exception):
-            errors[i] = 1
-            if len(messages) < 10:
-                messages.append(f"point {points[i].tolist()}: {r}")
+            errors[i] = r
             continue
         variants.add(r.variant)
-        stats[i] = r.statistic
-        dfs[i] = r.df
-        crits[i] = r.critical_value
-        accepts[i] = int(r.accept)
+        stat[i], df[i], crit[i], accept[i] = r.statistic, r.df, r.critical_value, r.accept
+    cols = Columns(stat=stat, df=df, crit=crit, accept=accept, errors=errors,
+                   variants=tuple(variants), level=level)
+    return confidence_grid(spec, level, points, cols, metadata)
 
-    if errors.sum() > 0.5 * n:
-        raise RuntimeError(
-            f"evaluator failed on {int(errors.sum())}/{n} lattice points; "
-            "first failures: " + "; ".join(messages)
-        )
-    if len(variants) > 1:
-        raise ValueError(f"results of more than one test: {', '.join(sorted(variants))}")
-    return ConfidenceGrid(
-        spec=spec,
-        level=level,
-        points=points,
-        stats=stats,
-        dfs=dfs,
-        crits=crits,
-        accepts=accepts,
-        errors=errors,
-        variant=variants.pop() if variants else "S",
-        metadata=dict(metadata or {}),
-    )
+
+def invert_lattice(
+    sys: MomentSystem,
+    model: ModelKind | str,
+    spec: GridSpec,
+    statistic: str = "S",
+    level: float = 0.90,
+    cfg: HACConfig = HACConfig(),
+    fixed: Optional[dict] = None,
+    split: SplitSpec = SplitSpec(),
+    metadata: Optional[dict] = None,
+) -> ConfidenceGrid:
+    """Invert the test named `statistic` over the lattice of `spec` in one batch.
+
+    The lattice's points are points of `model`, the system's (SEMI's rho
+    goes in `fixed`), evaluated by `inference.lattice_columns`: the set
+    `invert_test` gives with that test's per-point function.
+    """
+    points = make_grid(spec)
+    cols = lattice_columns(statistic, model, points, sys, fixed, cfg, level, split)
+    return confidence_grid(spec, level, points, cols, metadata)
 
 
 def invert_test(

@@ -5,6 +5,13 @@ configuration, and return a `TestResult`. The S statistic concentrates out the
 scalar constant-term coefficient d by continuously-updated minimization; the
 qLL-S statistic adds a subsample-instability component; the split-sample S
 statistic is robust to many weak instruments.
+
+Each test's batch function is a per-point front (`_coefficients`), which maps
+its points to coefficient rows, then the test's columnar core, which returns
+the raw outcome columns of every row, then one TestResult per row
+(`_results`). `lattice_columns` feeds a lattice of model points to the same
+core through the model's coefficient map over parameter columns, and returns
+the outcome columns (`Columns`) with no object per point.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ import json
 import math
 import numbers
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +32,9 @@ import numpy as np
 # a singular or indefinite matrix by NaN output and the invalid flag.
 from numpy.linalg import _umath_linalg
 
-from .design import MomentSystem
+from .design import MODELS, MomentSystem
 from .hac import HACConfig, hac_variance
+from .models import ModelKind, violations
 from .quantiles import chi2_quantile
 
 
@@ -705,63 +714,138 @@ def minimize_cue(
     return float(stat[0]), float(d_hat[0]), bool(flagged[0])
 
 
+def _finite_rows(B: np.ndarray, J: Optional[np.ndarray], errors: dict, describe) -> None:
+    """Give each row of B, or of J, that is not finite and has no error yet the
+    ValueError naming its point (`describe(row)`), and NaN every error row."""
+    for name, rows in (("coefficients", B), ("Jacobian entries", J)):
+        if rows is None:
+            continue
+        finite = np.isfinite(rows)
+        if np.count_nonzero(finite) < finite.size:  # a failed map's NaN row, or an overflow
+            for i in np.flatnonzero(~finite.reshape(len(rows), -1).all(axis=1)).tolist():
+                errors.setdefault(i, ValueError(
+                    f"{name} of {describe(i)} are not finite: {rows[i].tolist()}"))
+    if errors:
+        rows = list(errors)
+        B[rows] = np.nan
+        if J is not None:
+            J[rows] = np.nan
+
+
 def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
     """(B, J, errors): the coefficient row of every point, and its Jacobian if asked.
 
     A point is a model parameter point or, when no Jacobian is asked for, its
-    coefficient vector b as an array. A point whose map fails, or maps to a
-    non-finite b, carries its exception in `errors`, a NaN row in B and None in J.
+    coefficient vector b as an array. J is N x m x p, or None when not asked
+    for. A point whose map fails, or maps to a non-finite b or Jacobian,
+    carries its exception in `errors` (keyed by row) and NaN rows in B and J.
     """
     n = len(thetas)
-    B, J, errors = np.full((n, sys.Y.shape[1]), np.nan), [None] * n, [None] * n
+    B, Js, errors = np.full((n, sys.Y.shape[1]), np.nan), [], {}
     for i, theta in enumerate(thetas):
         try:
             if jacobian and isinstance(theta, np.ndarray):
                 raise ValueError("split-sample S needs model parameters, not a coefficient vector")
             B[i] = _checked_b(theta, sys) if isinstance(theta, np.ndarray) else sys.coeff(theta)
             if jacobian:
-                J[i] = np.asarray(sys.jacobian(theta), dtype=float)
+                Js.append(np.asarray(sys.jacobian(theta), dtype=float))
         except Exception as exc:  # recorded on its own row
             errors[i] = exc
-    finite = np.isfinite(B)
-    if np.count_nonzero(finite) < finite.size:  # a failed map's NaN row, or a non-finite b
-        for i in np.flatnonzero(~finite.all(axis=1)):
-            if errors[i] is None:
-                errors[i] = ValueError(
-                    f"coefficients of {thetas[i]!r} are not finite: {B[i].tolist()}")
-                B[i], J[i] = np.nan, None
+    J = None
+    if jacobian:  # Js holds the Jacobian of every row without an error
+        shape = (n,) + (Js[0].shape if Js else (B.shape[1], 0))
+        if len(Js) == n:
+            J = np.array(Js).reshape(shape)
+        else:
+            J = np.full(shape, np.nan)
+            J[[i for i in range(n) if i not in errors]] = np.reshape(Js, (len(Js),) + shape[1:])
+    _finite_rows(B, J, errors, lambda i: repr(thetas[i]))
     return B, J, errors
 
 
-def _concentrated(thetas: Sequence, sys: MomentSystem, cfg: HACConfig):
-    """(B, stat, d_hat, flagged, errors): coefficient rows and CUE minima of the points.
+def _lattice_rows(model: ModelKind, points, sys: MomentSystem, fixed: dict, jacobian: bool):
+    """(B, J, errors) of a lattice, as `_coefficients` gives them for its points.
 
-    A point whose coefficient map or minimisation fails carries its exception
-    in `errors` and NaN elsewhere; the other points are unaffected. (A failed
-    map leaves a NaN row, which the minimisation records as singular; the
-    map's own error is the one kept.) The system must be overidentified.
+    `points` holds one point of the model, the system's, per row (its free
+    parameters, in order) and `fixed` the model's fixed parameters. Each
+    parameter becomes one column, and one call of the system's coefficient
+    map (and Jacobian) gives every row. A row that breaks the model's rule
+    (kappa > 0, sigma > 0) carries that rule's ValueError.
     """
-    if sys.df <= 0:
-        raise ValueError(f"just-identified or under-identified system (df={sys.df}) is unsupported")
-    kern = cue_kernel(sys, cfg)
-    B, _, errors = _coefficients(thetas, sys)
-    n = len(B)
-    stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
-    for lo in range(0, n, BATCH_CHUNK):
-        part = slice(lo, lo + BATCH_CHUNK)
-        stat[part], d_hat[part], flagged[part], errs = _minimize_rows(kern, B[part], sys.T)
-        errors[part] = [mine or theirs for mine, theirs in zip(errors[part], errs)]
-    return B, stat, d_hat, flagged, errors
+    spec = MODELS[model]
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != len(spec.free):
+        raise ValueError(f"{model.value} lattice points are ({', '.join(spec.free)}); "
+                         f"got an array of shape {points.shape}")
+    if set(fixed) != set(spec.fixed):
+        raise ValueError(f"{model.value} fixes ({', '.join(spec.fixed)}); "
+                         f"got ({', '.join(fixed)})")
+    n = len(points)
+    p = SimpleNamespace(**fixed, **dict(zip(spec.free, np.ascontiguousarray(points.T))))
+    with np.errstate(all="ignore"):  # a row that is not finite is refused below
+        B = np.array(np.broadcast_to(sys.coeff(p), (n, sys.Y.shape[1])))
+        J = None
+        if jacobian:
+            J = sys.jacobian(p)
+            J = np.array(np.broadcast_to(J, (n,) + J.shape[-2:]))
+    errors = violations(spec.params, p)
+    names = [f.name for f in fields(spec.params)]
+
+    def describe(i: int) -> str:  # as the point's params dataclass prints
+        values = {k: v[i].item() if isinstance(v, np.ndarray) else v for k, v in vars(p).items()}
+        return f"{spec.params.__name__}({', '.join(f'{k}={values[k]!r}' for k in names)})"
+
+    _finite_rows(B, J, errors, describe)
+    return B, J, errors
 
 
-def _results(errors: list, variant: str, stat, df: int, crit: float, level: float,
-             bandwidth: int, d_hat, flagged) -> list:
-    """The TestResult of every row without an error, else the row's error or the
-    ValueError its TestResult raised. `d_hat` is None for a statistic that does
-    not concentrate out d."""
-    d_hat = [None] * len(errors) if d_hat is None else d_hat.tolist()
+@dataclass(frozen=True)
+class Columns:
+    """One batch's test outcomes, a column per field and a row per point.
+
+    A row without an error holds what its TestResult holds. An error row has
+    its exception in `errors` (keyed by row), NaN in `stat`, `crit` and
+    `d_hat`, 0 in `df` and False in `accept` and `flagged`. `variants` holds
+    the label of every test whose outcomes these are: one for a batch.
+    `d_hat` is None for a test that does not concentrate out d.
+    """
+
+    stat: np.ndarray
+    df: np.ndarray
+    crit: np.ndarray
+    accept: np.ndarray
+    errors: dict
+    variants: tuple[str, ...]
+    level: float
+    bandwidth: Optional[int] = None
+    d_hat: Optional[np.ndarray] = None
+    flagged: Optional[np.ndarray] = None
+
+    def results(self) -> list:
+        """The TestResult of every row without an error, else the row's error."""
+        n = len(self.stat)
+        d_hat = [None] * n if self.d_hat is None else self.d_hat.tolist()
+        flagged = [False] * n if self.flagged is None else self.flagged.tolist()
+        out = []
+        for i, (s, df, crit, d, f) in enumerate(zip(
+                self.stat.tolist(), self.df.tolist(), self.crit.tolist(), d_hat, flagged)):
+            exc = self.errors.get(i)
+            out.append(exc if exc is not None else TestResult(
+                statistic=s, df=df, critical_value=crit, level=self.level, accept=s <= crit,
+                d_hat=d, bandwidth=self.bandwidth, variant=self.variants[0], ridge_flagged=f,
+            ))
+        return out
+
+
+def _results(variant: str, stat: np.ndarray, df: int, crit: float, level: float,
+             bandwidth: int, errors: dict, d_hat, flagged: np.ndarray) -> list:
+    """The TestResult of every row of a core's raw columns without an error,
+    else the row's error or the ValueError its TestResult raised. `d_hat` is
+    None for a statistic that does not concentrate out d."""
+    d_hat = [None] * len(stat) if d_hat is None else d_hat.tolist()
     out = []
-    for outcome, s, d, f in zip(errors, stat.tolist(), d_hat, flagged.tolist()):
+    for i, (s, d, f) in enumerate(zip(stat.tolist(), d_hat, flagged.tolist())):
+        outcome = errors.get(i)
         if outcome is None:
             try:
                 outcome = TestResult(
@@ -772,6 +856,64 @@ def _results(errors: list, variant: str, stat, df: int, crit: float, level: floa
                 outcome = exc
         out.append(outcome)
     return out
+
+
+def _columns(variant: str, stat: np.ndarray, df: int, crit: float, level: float,
+             bandwidth: int, errors: dict, d_hat, flagged: np.ndarray) -> Columns:
+    """The Columns of a core's raw columns. A row without an error whose
+    statistic, or whose critical value, is not finite gets the ValueError its
+    TestResult would raise (as `_results` gives it); then every error row is
+    blanked."""
+    n = len(stat)
+    finite = np.isfinite(stat)
+    if np.count_nonzero(finite) < n:
+        for i in np.flatnonzero(~finite).tolist():
+            errors.setdefault(i, ValueError(f"{variant} statistic is not finite: {float(stat[i])!r}"))
+    if not math.isfinite(crit):
+        for i in range(n):
+            errors.setdefault(i, ValueError(f"{variant} critical_value is not finite: {crit!r}"))
+    df, crit = np.full(n, df), np.full(n, crit)
+    if errors:  # the core's own arrays, blanked in place
+        rows = list(errors)
+        stat[rows] = crit[rows] = np.nan
+        df[rows] = 0
+        flagged[rows] = False
+        if d_hat is not None:
+            d_hat[rows] = np.nan
+    return Columns(stat=stat, df=df, crit=crit, accept=stat <= crit, errors=errors,
+                   variants=(variant,), level=level, bandwidth=bandwidth, d_hat=d_hat,
+                   flagged=flagged)
+
+
+def _minimized(B: np.ndarray, errors: dict, sys: MomentSystem, cfg: HACConfig):
+    """(stat, d_hat, flagged): the CUE minimum over d of every coefficient row.
+
+    The rows are minimised BATCH_CHUNK at a time. A row whose minimisation
+    fails gets its SingularCovarianceError in `errors` and NaN elsewhere,
+    unless it has an error already (a failed map leaves a NaN row, which the
+    minimisation records as singular; the map's own error is the one kept).
+    The system must be overidentified.
+    """
+    if sys.df <= 0:
+        raise ValueError(f"just-identified or under-identified system (df={sys.df}) is unsupported")
+    kern = cue_kernel(sys, cfg)
+    n = len(B)
+    stat, d_hat, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
+    for lo in range(0, n, BATCH_CHUNK):
+        part = slice(lo, lo + BATCH_CHUNK)
+        stat[part], d_hat[part], flagged[part], errs = _minimize_rows(kern, B[part], sys.T)
+        for i, exc in enumerate(errs, lo):
+            if exc is not None:
+                errors.setdefault(i, exc)
+    return stat, d_hat, flagged
+
+
+def _s_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
+               split: Optional[SplitSpec]) -> tuple:
+    """S at every coefficient row (J and `split` are not read)."""
+    stat, d_hat, flagged = _minimized(B, errors, sys, cfg)
+    return ("S", stat, sys.df, chi2_quantile(sys.df, level), level,
+            cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
 
 
 def _one(outcomes: list) -> TestResult:
@@ -790,10 +932,8 @@ def s_statistics(
 
     The points are minimised together, BATCH_CHUNK at a time.
     """
-    _, stat, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
-    crit = chi2_quantile(sys.df, level)
-    return _results(errors, "S", stat, sys.df, crit, level, cfg.resolve_bandwidth(sys.T),
-                    d_hat, flagged)
+    B, _, errors = _coefficients(thetas, sys)
+    return _results(*_s_columns(B, None, errors, sys, cfg, level, None))
 
 
 def s_statistic(
@@ -871,6 +1011,29 @@ def _sup_split(B: np.ndarray, d: np.ndarray, sys: MomentSystem, cfg: HACConfig) 
     return out
 
 
+def _qll_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
+                 split: Optional[SplitSpec]) -> tuple:
+    """qLL-S at every coefficient row (J and `split` are not read)."""
+    key = (sys.k_z, level)
+    if key not in QLL_CRITICAL_VALUES:
+        raise ValueError(
+            f"no embedded qLL critical value for {sys.k_z} moments at level {level}; "
+            f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
+        )
+    s, d_hat, flagged = _minimized(B, errors, sys, cfg)
+    stat = _sup_split(B, d_hat, sys, cfg)
+    finite = np.isfinite(stat)
+    if np.count_nonzero(finite) < finite.size:
+        for i in np.flatnonzero(~finite).tolist():
+            # a row with an error has NaN in B or d_hat, and keeps its error
+            errors.setdefault(i, SingularCovarianceError(
+                f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
+            ))
+    stat += (10.0 / 11.0) * s
+    return ("qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
+            cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
+
+
 def qll_s_statistics(
     thetas: Sequence,
     sys: MomentSystem,
@@ -878,22 +1041,8 @@ def qll_s_statistics(
     level: float = 0.90,
 ) -> list:
     """`qll_s_statistic` at every point: its TestResult, or the exception it raised."""
-    key = (sys.k_z, level)
-    if key not in QLL_CRITICAL_VALUES:
-        raise ValueError(
-            f"no embedded qLL critical value for {sys.k_z} moments at level {level}; "
-            f"available levels: 0.90, 0.95, 0.99 for 2..13 moments"
-        )
-    B, s, d_hat, flagged, errors = _concentrated(thetas, sys, cfg)
-    stat = _sup_split(B, d_hat, sys, cfg)
-    for i in np.flatnonzero(~np.isfinite(stat)):
-        if errors[i] is None:  # a row with an error has NaN in B or d_hat
-            errors[i] = SingularCovarianceError(
-                f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
-            )
-    stat += (10.0 / 11.0) * s
-    return _results(errors, "qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
-                    cfg.resolve_bandwidth(sys.T), d_hat, flagged)
+    B, _, errors = _coefficients(thetas, sys)
+    return _results(*_qll_columns(B, None, errors, sys, cfg, level, None))
 
 
 def qll_s_statistic(
@@ -913,18 +1062,15 @@ def qll_s_statistic(
 # --- split-sample S ----------------------------------------------------------
 
 
-def split_sample_s_statistics(
-    thetas: Sequence,
-    sys: MomentSystem,
-    split: SplitSpec = SplitSpec(),
-    cfg: HACConfig = HACConfig(),
-    level: float = 0.90,
-) -> list:
-    """`split_sample_s_statistic` at every point: its TestResult, or the exception it raised.
+def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
+                   split: SplitSpec) -> tuple:
+    """Split-sample S at every coefficient row B and its Jacobian J (N x m x p).
 
-    The fit P1 of Y on the first subsample's instruments is made once. A point's
-    contributions (Z2 P1 J) * (Y2 b), their HAC and solve are stacked, BATCH_CHUNK
-    points at a time, each point in its own matrix products.
+    The fit P1 of Y on the first subsample's instruments is made once. A row's
+    contributions (Z2 P1 J) * (Y2 b), their HAC and solve are stacked,
+    BATCH_CHUNK rows at a time, each row in its own matrix products. A row
+    whose products overflow has a covariance that is not finite: it is an
+    error row, and no warning escapes.
     """
     if sys.jacobian is None:
         raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")
@@ -937,7 +1083,6 @@ def split_sample_s_statistics(
             f"subsamples too short: T1={T1}, T2={T2}, need >= {sys.k_z + 1} each"
         )
 
-    B, J, errors = _coefficients(thetas, sys, jacobian=True)
     Ybar = sys.Y - sys.Y.mean(axis=0)
     Zex = sys.Z[:, 1:]  # drop the constant
     Zbar = Zex - Zex.mean(axis=0)
@@ -948,23 +1093,37 @@ def split_sample_s_statistics(
         raise ValueError("singular Z'Z on the first subsample") from None
     Q2, Y2 = Zbar[start2:] @ P1, Ybar[start2:]
 
-    ok = np.flatnonzero([e is None for e in errors])
-    J = np.array([J[i] for i in ok])  # the Jacobian of every point left, m x n_p each
+    ok = np.flatnonzero([i not in errors for i in range(len(B))])
     n_p = J.shape[-1] if ok.size else 0
     stat, flagged = np.full(len(B), np.nan), np.zeros(len(B), bool)
-    for lo in range(0, ok.size, BATCH_CHUNK):
-        rows = ok[lo:lo + BATCH_CHUNK]
-        v = (Q2 @ J[lo:lo + BATCH_CHUNK]) * (Y2 @ B[rows, :, None])  # N x T2 x n_p
-        s = v.sum(axis=-2)
-        x, flagged[rows], singular = _solve_spd_rows(hac_variance(v, cfg), s[..., None])
-        stat[rows] = np.einsum("ni,ni->n", s, x[..., 0]) / T2
-        for i in rows[singular]:
-            errors[i] = SingularCovarianceError(
-                "HAC covariance singular even after ridge (split-sample Omega)"
-            )
+    if ok.size < len(B):  # the rows without an error, in order
+        B, J = B[ok], J[ok]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, ok.size, BATCH_CHUNK):
+            part, rows = slice(lo, lo + BATCH_CHUNK), ok[lo:lo + BATCH_CHUNK]
+            v = (Q2 @ J[part]) * (Y2 @ B[part, :, None])  # N x T2 x n_p
+            s = v.sum(axis=-2)
+            x, flagged[rows], singular = _solve_spd_rows(hac_variance(v, cfg), s[..., None])
+            stat[rows] = np.einsum("ni,ni->n", s, x[..., 0]) / T2
+            for i in rows[singular].tolist():
+                errors[i] = SingularCovarianceError(
+                    "HAC covariance singular even after ridge (split-sample Omega)"
+                )
     crit = chi2_quantile(n_p, level) if n_p else math.nan
-    return _results(errors, "split-S", stat, n_p, crit, level, cfg.resolve_bandwidth(T2),
-                    None, flagged)
+    return ("split-S", stat, n_p, crit, level, cfg.resolve_bandwidth(T2), errors, None,
+            flagged)
+
+
+def split_sample_s_statistics(
+    thetas: Sequence,
+    sys: MomentSystem,
+    split: SplitSpec = SplitSpec(),
+    cfg: HACConfig = HACConfig(),
+    level: float = 0.90,
+) -> list:
+    """`split_sample_s_statistic` at every point: its TestResult, or the exception it raised."""
+    B, J, errors = _coefficients(thetas, sys, jacobian=True)
+    return _results(*_split_columns(B, J, errors, sys, cfg, level, split))
 
 
 def split_sample_s_statistic(
@@ -988,6 +1147,42 @@ def split_sample_s_statistic(
 
 #: The batch function of each test, by its `[inference] statistic` name.
 STATISTICS = {"S": s_statistics, "qll": qll_s_statistics, "split": split_sample_s_statistics}
+#: The columnar core of each test, by the same name: coefficient rows B,
+#: Jacobian rows J (read by split-sample S alone), the rows' errors, the
+#: system, HAC, level and split layout in; the raw columns out, as the
+#: arguments of `_results` (per-point fronts) or `_columns` (a lattice).
+_CORES = {"S": _s_columns, "qll": _qll_columns, "split": _split_columns}
+
+
+def lattice_columns(
+    statistic: str,
+    model: ModelKind | str,
+    points,
+    sys: MomentSystem,
+    fixed: Optional[dict] = None,
+    cfg: HACConfig = HACConfig(),
+    level: float = 0.90,
+    split: SplitSpec = SplitSpec(),
+) -> Columns:
+    """The test named `statistic` (a key of STATISTICS) at every lattice point, as one batch.
+
+    `points` holds one point of `model`, the system's, per row: its free
+    parameters in order (`ModelSpec.free`); `fixed` gives the model's fixed
+    parameters (SEMI's rho). The system's coefficient map turns the parameter
+    columns into every coefficient row at once, and the test's columnar
+    core turns those into the outcome columns: no object is made per point.
+    Each row equals the outcome of its point alone, bit for bit, error text
+    included, but for one case: where a point's float arithmetic raises
+    (ZeroDivisionError or OverflowError: CAC's 1 / (sigma delta) at sigma =
+    5e-324, IAC's kappa^2 for kappa beyond about 1e154 or below 1e-162), its
+    column row, inf or NaN there, is the ValueError of a map that is not
+    finite.
+    """
+    if statistic not in _CORES:
+        raise ValueError(f"unknown statistic {statistic!r}; expected one of {', '.join(_CORES)}")
+    B, J, errors = _lattice_rows(ModelKind(model), points, sys, fixed or {},
+                                 jacobian=statistic == "split")
+    return _columns(*_CORES[statistic](B, J, errors, sys, cfg, level, split))
 
 
 # --- first-stage diagnostics -------------------------------------------------

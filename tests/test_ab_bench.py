@@ -12,6 +12,21 @@ _SPEC = importlib.util.spec_from_file_location("ab_bench", _PATH)
 ab_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_bench)
 
+#: The parent's revision as `main` finds it, before the fixture below replaces it.
+PARENT_REVISION = ab_bench.parent_revision
+
+
+@pytest.fixture(autouse=True)
+def revision(monkeypatch):
+    # `main` names its BENCH file after the parent checkout's git revision;
+    # the tests' checkouts are temporary directories and their runs are mocked
+    monkeypatch.setattr(ab_bench, "parent_revision", lambda root: "abc1234")
+
+
+def test_parent_revision_outside_git_is_unknown(tmp_path):
+    assert PARENT_REVISION(str(tmp_path)) == "unknown"
+
+
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}
 RATE = {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}
 
@@ -123,3 +138,58 @@ def test_bytecode_on_one_side_only_is_refused(tmp_path, monkeypatch, capsys, cac
     else:
         assert ab_bench.main() == 0
         assert len(runs) == 2
+
+
+def test_bench_record_holds_the_verdicts():
+    # synthetic runs: a clean parent, a change with one run that gave no metrics
+    # (left out of the pairs) and one that counted a failed operation
+    def run(wall, failed=0):
+        return {"correct": True, "failed": failed, "metrics": {
+            "wall_s": {"value": wall}, "evals_per_s": {"value": 1.0 / wall}}}
+
+    runs = {"parent": [run(1.0), run(1.1), run(0.9), run(1.0)],
+            "change": [run(0.8), {"correct": False, "failed": None, "metrics": None},
+                       run(0.7, failed=2), run(0.8)]}
+    compared = [0, 2, 3]
+    rows = ab_bench.verdicts({side: [runs[side][i] for i in compared] for side in ab_bench.SIDES},
+                             [WALL, RATE])
+    record = ab_bench.bench_record("w", "abc1234", 35, [5, 6, 7, 8], [5, 7, 8], runs, rows)
+    assert record["workload"] == "w" and record["parent_rev"] == "abc1234"
+    assert set(record["machine"]) == {"cpu_count", "python", "numpy"}
+    assert record["run_seconds"] == 35
+    assert (record["seeds"], record["seeds_compared"]) == ([5, 6, 7, 8], [5, 7, 8])
+    assert record["clean_runs"] == {"parent": 4, "change": 2}
+    wall, rate = record["metrics"]
+    assert wall["name"] == "wall_s" and rate["name"] == "evals_per_s"
+    assert wall["pair_ratios"] == pytest.approx([0.8, 0.7 / 0.9, 0.8])
+    assert wall["parent"][1] == 1.0 and wall["change"][1] == 0.8
+    assert wall["wins"] == {"change": 3, "parent": 0, "ties": 0}
+    assert rate["regression"] == "within bound" and wall["regression"] == "within bound"
+
+
+def test_bench_file_is_written_at_the_change_root(tmp_path, monkeypatch):
+    # pair i runs seed seed0 + i on both sides, and the record lands beside
+    # the change's BENCHMARK.json under the parent's revision
+    roots = {side: tmp_path / side for side in ab_bench.SIDES}
+    for root in roots.values():
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [WALL, RATE]}))
+    seeds = []
+
+    def run(cmd, **kwargs):
+        seeds.append(int(cmd[cmd.index("--seed") + 1]))
+        return subprocess.CompletedProcess(cmd, 0, stdout=summary(1.0 + 0.1 * len(seeds)),
+                                           stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    monkeypatch.setattr("sys.argv", ["ab_bench.py", "--parent", str(roots["parent"]),
+                                     "--change", str(roots["change"]), "--workload", "w",
+                                     "--pairs", "2", "--seed0", "40"])
+    assert ab_bench.main() == 0
+    assert seeds == [40, 40, 41, 41]
+    record = json.loads((roots["change"] / "BENCH_w_abc1234.json").read_text())
+    assert record["seeds"] == record["seeds_compared"] == [40, 41]
+    assert record["clean_runs"] == {"parent": 2, "change": 2}
+    assert [m["name"] for m in record["metrics"]] == ["wall_s", "evals_per_s"]
+    assert not (roots["parent"] / "BENCH_w_abc1234.json").exists()

@@ -9,6 +9,8 @@ also match its earlier per-point path, `split_reference`.
 """
 
 import json
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +23,7 @@ from eulergmm.design import BASELINE_INSTRUMENTS, build_design
 from eulergmm.grids import (
     AxisSpec,
     GridSpec,
+    default_cac_grid,
     default_semi_grid,
     default_structural_grid,
     export_grid,
@@ -37,7 +40,12 @@ from eulergmm.inference import (
     split_sample_s_statistic,
     split_sample_s_statistics,
 )
-from eulergmm.models import LITERATURE_POINTS, SemiStructuralParams, StructuralParams
+from eulergmm.models import (
+    LITERATURE_POINTS,
+    CACParams,
+    SemiStructuralParams,
+    StructuralParams,
+)
 from eulergmm.pipeline import TransformSpec
 from eulergmm.snapshot import transform_snapshot
 from test_acceptance import ma2_null_system, weak_iv_system
@@ -56,7 +64,9 @@ def test_every_statistic_is_covered():
 @pytest.fixture(scope="module")
 def systems():
     data = transform_snapshot(TransformSpec())
-    return {m: build_design(data, m, BASELINE_INSTRUMENTS) for m in ("IAC", "SEMI")}
+    systems = {m: build_design(data, m, BASELINE_INSTRUMENTS) for m in ("IAC", "SEMI")}
+    systems["CAC"] = build_design(data, "CAC")  # the model's own, deeper, instruments
+    return systems
 
 
 def box(spec, points):
@@ -214,33 +224,155 @@ class TestSplitReference:
                         per_point(split_reference.split_sample_s_statistic, thetas, sys_), rel=1e-7)
 
 
-def write_config(tmp_path, statistic, extra_points, name="run.ini"):
+def write_config(tmp_path, statistic, extra_points, name="run.ini", model="IAC",
+                 points="3, 4, 3"):
     path = tmp_path / name
+    model = model.split()
+    fixed = f"rho = {model[1]}\n" if len(model) > 1 else ""
     path.write_text(
         "[data]\nsnapshot = true\n"
+        f"[model]\nkind = {model[0]}\n{fixed}"
         f"[inference]\nstatistic = {statistic}\n"
-        f"[grid]\npoints = 3, 4, 3\nextra_points = {extra_points}\n"
+        f"[grid]\npoints = {points}\nextra_points = {extra_points}\n"
     )
     return str(path)
+
+
+#: Per case: its default grid, point counts, extra points (the last one out
+#: of the box, an error row) and the params of a lattice point.
+GRID_CASES = {
+    "IAC": (default_structural_grid, (3, 4, 3),
+            ((0.3, 5.0, 1.0), (0.6, 2.48, 0.01), (0.5, -1.0, 1.0)),
+            lambda p: StructuralParams(*p)),
+    "SEMI 0": (default_semi_grid, (4, 5), ((0.1, 0.2), (1e308, 1e308)),
+               lambda p: SemiStructuralParams(0.0, *p)),
+    "SEMI 0.9": (default_semi_grid, (4, 5), ((0.1, 0.2), (1e308, 1e308)),
+                 lambda p: SemiStructuralParams(0.9, *p)),
+    "CAC": (default_cac_grid, (3, 4, 3), ((0.3, 5.0, 1.0), (0.5, 0.0, 1.0)),
+            lambda p: CACParams(*p)),
+}
+
+
+def assert_grid_equals_per_point_inversion(tmp_path, systems, statistic, case):
+    """`eulergmm grid` on a case's lattice writes grid.csv and grid.json byte for
+    byte as `invert_test` with the test's per-point function does."""
+    default, counts, extra, params = GRID_CASES[case]
+    cfg = write_config(tmp_path, statistic, "; ".join(",".join(map(repr, p)) for p in extra),
+                       model=case, points=", ".join(map(str, counts)))
+    assert main(["grid", "--config", cfg, "--out", str(tmp_path / "batch")]) == 0
+    spec = GridSpec(axes=tuple(replace(a, points=n) for a, n in zip(default().axes, counts)),
+                    extra_points=extra)
+    single = STATISTICS[statistic][1]
+    metadata = json.loads((tmp_path / "batch" / "grid.json").read_text())["metadata"]
+    grid = invert_test(lambda p: single(params(p), systems[case.split()[0]]), spec, 0.90, metadata)
+    export_grid(grid, tmp_path / "per_point")
+    batch_rows = (tmp_path / "batch" / "grid.csv").read_text().splitlines()
+    assert len(batch_rows) == int(np.prod(counts)) + len(extra) + 1
+    assert batch_rows[-1].split(",")[-1] == "1"  # the out-of-box point is an error row
+    for name in ("grid.csv", "grid.json"):
+        assert (tmp_path / "batch" / name).read_bytes() == \
+            (tmp_path / f"per_point{name[4:]}").read_bytes()
+
+
+class TestLatticeColumns:
+    """`lattice_columns` maps a lattice's parameter columns in one call; each row's
+    outcome, errors and their text included, equals its point's through the
+    per-point front."""
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    @pytest.mark.parametrize("case", ["IAC", "SEMI 0.9", "CAC"])
+    def test_rows_equal_the_per_point_front(self, systems, statistic, case):
+        default, counts, extra, params = GRID_CASES[case]
+        model, *rho = case.split()
+        odd = {"IAC": [(np.nan, 2.0, 1.0), (0.5, 1e-320, 1.0), (0.5, 1e-156, 1.0)],
+               "SEMI": [(np.nan, 1.0), (np.inf, 1.0)],
+               "CAC": [(0.5, -2.0, 1.0), (0.5, 1e-320, 1.0), (0.5, 5e-324, 1.0)]}[model]
+        spec = GridSpec(axes=tuple(replace(a, points=n) for a, n in zip(default().axes, counts)))
+        points = np.vstack([make_grid(spec), extra, odd])
+        fixed = {"rho": float(rho[0])} if rho else None
+        cols = inference.lattice_columns(statistic, model, points, systems[model], fixed)
+        each = []
+        for p in points.tolist():  # Python floats, as a parsed point holds them
+            try:
+                each.append(params(p))
+            except ValueError as exc:  # the rule's error, before any statistic
+                each.append(exc)
+        thetas = [p for p in each if not isinstance(p, Exception)]
+        outcomes = iter(STATISTICS[statistic][0](thetas, systems[model]))
+        expected = [p if isinstance(p, Exception) else next(outcomes) for p in each]
+        for i, r in enumerate(expected):
+            # where a float's arithmetic raises (CAC's sigma * delta underflows
+            # to 0 at sigma = 5e-324; IAC's kappa^2 at kappa = 1e-320, in the
+            # Jacobian), a column's gives inf or NaN, a map that is not finite
+            if isinstance(r, (ZeroDivisionError, OverflowError)):
+                assert points[i][1] in (5e-324, 1e-320)
+                assert re.fullmatch(r"(coefficients|Jacobian entries) of \w+\(.*\) are not finite: .*",
+                                    str(cols.errors[i]))
+                expected[i] = cols.errors[i]
+        assert_same(cols.results(), expected)
+        assert sorted(cols.errors) == [i for i, r in enumerate(expected)
+                                       if isinstance(r, Exception)]
+
+
+    def test_columns_of_outcomes_give_them_back(self):
+        # Columns built with the defaults (no d_hat, no ridge flags), as
+        # `collect_results` builds them, give their TestResults and errors
+        ok = inference.TestResult(statistic=1.0, df=2, critical_value=3.0, level=0.9, accept=True)
+        cols = inference.Columns(stat=np.array([1.0, np.nan]), df=np.array([2, 0]),
+                                 crit=np.array([3.0, np.nan]), accept=np.array([True, False]),
+                                 errors={1: ValueError("x")}, variants=("S",), level=0.9)
+        assert_same(cols.results(), [ok, ValueError("x")])
 
 
 class TestCliGrid:
     @pytest.mark.parametrize("statistic", sorted(STATISTICS))
     def test_grid_equals_per_point_inversion(self, tmp_path, systems, statistic):
-        cfg = write_config(tmp_path, statistic, "0.3,5.0,1.0; 0.6,2.48,0.01")
-        assert main(["grid", "--config", cfg, "--out", str(tmp_path / "batch")]) == 0
-        spec = GridSpec(
-            axes=tuple(replace(a, points=n)
-                       for a, n in zip(default_structural_grid().axes, (3, 4, 3))),
-            extra_points=((0.3, 5.0, 1.0), (0.6, 2.48, 0.01)),
-        )
-        single = STATISTICS[statistic][1]
-        grid = invert_test(lambda p: single(StructuralParams(*p), systems["IAC"]), spec, 0.90)
-        export_grid(grid, tmp_path / "per_point")
-        batch_rows = (tmp_path / "batch" / "grid.csv").read_text().splitlines()
-        point_rows = (tmp_path / "per_point.csv").read_text().splitlines()
-        assert len(batch_rows) == 3 * 4 * 3 + 3
-        assert batch_rows == point_rows
+        assert_grid_equals_per_point_inversion(tmp_path, systems, statistic, "IAC")
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    @pytest.mark.parametrize("case", ["SEMI 0", "SEMI 0.9", "CAC"])
+    def test_model_grid_equals_per_point_inversion(self, tmp_path, systems, statistic, case):
+        assert_grid_equals_per_point_inversion(tmp_path, systems, statistic, case)
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    def test_grid_builds_no_object_per_point(self, tmp_path, monkeypatch, statistic):
+        # no params dataclass, per-point coefficient front or TestResult: the
+        # lattice is columns from make_grid to export_grid. `estimate`, a
+        # lattice of one that returns its TestResult, shows the spies work.
+        made = []
+        for cls in (inference.TestResult, StructuralParams):
+            def counted(self, *args, cls=cls, init=cls.__init__, **kwargs):
+                made.append(cls.__name__)
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        front = inference._coefficients
+        monkeypatch.setattr(inference, "_coefficients",
+                            lambda *args, **kwargs: made.append("_coefficients")
+                            or front(*args, **kwargs))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\nsnapshot = true\n[inference]\nstatistic = {statistic}\n"
+                       "theta0 = 0.3, 5.0, 1.0\n[grid]\npoints = 3, 4, 3\n"
+                       "extra_points = 0.5, -1, 1\n")
+        assert main(["grid", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert made == []
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert made == ["TestResult"]
+
+    @pytest.mark.parametrize("point", [(1e200, 1.0), (1e308, 1e308)])
+    def test_split_overflow_is_an_error_row(self, systems, point):
+        # a finite coefficient row whose split-sample products overflow: an
+        # error row, as S and qLL-S give it, with no warning and no effect on
+        # the other rows
+        good = SemiStructuralParams(0.5, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge, right = split_sample_s_statistics(
+                [SemiStructuralParams(0.5, *point), good], systems["SEMI"])
+            for single in (s_statistic, qll_s_statistic):
+                with pytest.raises(inference.SingularCovarianceError):
+                    single(SemiStructuralParams(0.5, *point), systems["SEMI"])
+        assert isinstance(huge, inference.SingularCovarianceError)
+        assert_same([right], [split_sample_s_statistic(good, systems["SEMI"])])
 
     @pytest.mark.parametrize("statistic", sorted(STATISTICS))
     def test_grid_is_labelled_by_its_results(self, tmp_path, systems, statistic):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from eulergmm.models import (
     map_structural_to_semi,
     semi_coefficients,
     semi_jacobian,
+    violations,
 )
 
 C = constants_from_calibration(0.99, 0.025)
@@ -202,3 +205,98 @@ class TestAnalyticJacobians:
             lambda x: cac_coefficients(CACParams(*x), C), [rho, sigma, zeta]
         )
         assert np.max(np.abs(J - fd)) < 1e-6
+
+
+#: Each model's params class and maps; a drawn triple (a, b, c) is its point.
+MAPS = {
+    "IAC": (StructuralParams, iac_coefficients, iac_jacobian),
+    "SEMI": (SemiStructuralParams, semi_coefficients, semi_jacobian),
+    "CAC": (CACParams, cac_coefficients, cac_jacobian),
+}
+#: kappas in the box whose square by C's pow and by kappa * kappa round apart
+SQUARES_THAT_ROUND_APART = (18.659, 9.072, 13.871, 11.122374, 0.742668)
+RHOS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+#: kappa, sigma or phi: the box, large values, and the squares above
+SCALES = st.one_of(
+    st.floats(min_value=1e-3, max_value=20.0),
+    st.floats(min_value=20.0, max_value=1e100),
+    st.sampled_from(SQUARES_THAT_ROUND_APART),
+)
+SLOPES = st.floats(min_value=0.0, max_value=10.0)
+
+
+def assert_same_bits(a, b):
+    """Equal shapes, NaN at the same entries, every other entry bit for bit."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+def as_params(model, point):
+    rho, scale, slope = point
+    return (rho, slope, scale) if model == "SEMI" else (rho, scale, slope)
+
+
+class TestColumnMaps:
+    """A map over parameter columns gives every point's row at once: each row
+    equals the map of that point's params dataclass, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(MAPS)),
+           st.lists(st.tuples(RHOS, SCALES, SLOPES), min_size=1, max_size=20),
+           st.booleans())
+    def test_rows_equal_points(self, model, points, fixed_rho):
+        params, coefficients, jacobian = MAPS[model]
+        if fixed_rho:  # SEMI's rho is fixed per lattice: a float beside the columns
+            points = [(points[0][0],) + p[1:] for p in points]
+        values = np.array([as_params(model, p) for p in points])
+        names = [f for f in params.__dataclass_fields__]
+        columns = SimpleNamespace(**dict(zip(names, values.T)))
+        if fixed_rho:
+            columns.rho = float(values[0, 0])
+        with np.errstate(all="ignore"):
+            rows, jacobians = coefficients(columns, C), jacobian(columns, C)
+        each = [params(*map(float, v)) for v in values]
+        assert_same_bits(rows, [coefficients(p, C) for p in each])
+        assert_same_bits(np.broadcast_to(jacobians, (len(each),) + jacobians.shape[-2:]),
+                         [jacobian(p, C) for p in each])
+
+    @pytest.mark.parametrize("as_column", [False, True])
+    def test_kappa_squared_is_c_pow(self, as_column):
+        # numpy's ** would square a column by kappa * kappa: these kappas round apart
+        kappa = np.array(SQUARES_THAT_ROUND_APART)
+        rho, zeta, k = 0.5, 2.0, C.phi_k
+        if as_column:
+            J = iac_jacobian(SimpleNamespace(rho=rho, kappa=kappa, zeta=zeta), C)[:, :, 1]
+        else:
+            J = np.array([iac_jacobian(StructuralParams(rho, x, zeta), C)[:, 1]
+                          for x in kappa.tolist()])
+        expected = [[0.0] * 4 + [-1.0 / x**2, rho / x**2, -k * rho * zeta / x**2, k * zeta / x**2]
+                    for x in kappa.tolist()]
+        assert_same_bits(J, expected)
+
+    @pytest.mark.parametrize("kappa, raised", [(1e200, OverflowError), (1e-200, ZeroDivisionError)])
+    def test_kappa_squared_out_of_range_is_not_finite(self, kappa, raised):
+        # a float's kappa^2 raises where Python's pow overflows or -1 / kappa^2
+        # divides by 0; a column's kappa column is not finite there, and its
+        # other rows and columns are untouched
+        with pytest.raises(raised):
+            iac_jacobian(StructuralParams(0.5, kappa, 1.0), C)
+        with np.errstate(all="ignore"):
+            J = iac_jacobian(SimpleNamespace(rho=0.5, kappa=np.array([kappa, 2.0]), zeta=1.0), C)
+        assert not np.isfinite(J[0, :, 1]).all()
+        assert np.isfinite(J[0, :, [0, 2]]).all() and np.isfinite(J[1]).all()
+
+    @pytest.mark.parametrize("params, name", [(StructuralParams, "kappa"), (CACParams, "sigma")])
+    def test_rule_is_stated_once(self, params, name):
+        # a column's failing rows get the text the dataclass raises
+        column = np.array([2.0, -1.0, 0.0, np.nan, 3.0])
+        p = SimpleNamespace(rho=0.5, zeta=1.0, **{name: column})
+        errors = violations(params, p)
+        assert sorted(errors) == [1, 2]
+        for i, exc in errors.items():
+            with pytest.raises(ValueError) as raised:
+                params(0.5, column[i], 1.0)
+            assert str(exc) == str(raised.value) == f"{name} must be > 0, got {column[i]}"
+        assert violations(SemiStructuralParams, p) == {}

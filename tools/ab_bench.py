@@ -1,11 +1,13 @@
 """Alternating parent/change pairs of the benchmark, and each metric's verdict.
 
     python3 tools/ab_bench.py --parent DIR --change DIR --workload NAME --pairs N
+        [--seed0 S]
 
 DIR is the root of a checkout. Pair i runs `perfbench/run.py --trace 0` on
 both checkouts, each with its own benchmark files, the parent first in even
-pairs and the change first in odd ones, with seed i on both sides and the
-run length `run_seconds` of the parent's BENCHMARK.json. For every
+pairs and the change first in odd ones, with seed S + i (S is 0 unless
+given) on both sides and the run length `run_seconds` of the parent's
+BENCHMARK.json. For every
 end-to-end metric of that file it prints each side's median and quartiles
 over the pairs, the change/parent ratio of the two medians and the median
 of the pairs' own change/parent ratios (each pair's ratio on the line
@@ -22,6 +24,13 @@ operations, that exits non-zero or that prints no JSON summary line is
 reported as not clean, and the script exits 1 after the last pair; a pair
 with a run that gave no metrics is left out of the verdicts.
 
+It writes the same numbers to `BENCH_<workload>_<REV>.json` at the change
+checkout's root (`bench_record`): the machine's CPU count and the Python and
+numpy versions, the seeds, the clean runs of each side, and per metric the
+medians, quartiles, pair ratios, wins and verdicts. REV is the parent's
+short revision, `git rev-parse --short HEAD` in the parent checkout
+("unknown" when that gives none).
+
 It exits 2 before any run when one checkout's `src/eulergmm/__pycache__`
 holds `.pyc` files and the other's does not: one side would import from
 bytecode, which moves set-up time and memory on code that did not change.
@@ -30,8 +39,10 @@ bytecode, which moves set-up time and memory on code that did not change.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -114,12 +125,49 @@ def verdicts(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
     return out
 
 
+def clean(run: dict) -> bool:
+    return bool(run["correct"]) and not run["failed"]
+
+
+def bench_record(workload: str, parent_rev: str, seconds: float, seeds: list[int],
+                 compared: list[int], runs: dict[str, list[dict]], rows: list[dict]) -> dict:
+    """The BENCH file of one comparison: machine facts, the seeds of all pairs
+    and of the pairs compared, each side's clean runs, and each metric's row
+    of `verdicts`."""
+    return {
+        "workload": workload,
+        "parent_rev": parent_rev,
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+        },
+        "run_seconds": seconds,
+        "seeds": seeds,
+        "seeds_compared": compared,
+        "clean_runs": {side: sum(map(clean, runs[side])) for side in SIDES},
+        "metrics": rows,
+    }
+
+
+def parent_revision(root: str) -> str:
+    """The short revision checked out at `root`, or "unknown"."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root, text=True,
+                              capture_output=True)
+    except OSError:
+        return "unknown"
+    out = proc.stdout.strip()
+    return out if proc.returncode == 0 and out else "unknown"
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="root of the parent checkout")
     p.add_argument("--change", required=True, help="root of the changed checkout")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seed0", type=int, default=0, help="seed of the first pair")
     args = p.parse_args()
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -133,12 +181,14 @@ def main() -> int:
     with open(os.path.join(roots["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
+    parent_rev = parent_revision(roots["parent"])
+    seeds = [args.seed0 + i for i in range(args.pairs)]
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
+    for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(roots[side], args.workload, i, seconds))
+            runs[side].append(run_once(roots[side], args.workload, seed, seconds))
         line = ", ".join(
             f"{side} {runs[side][-1]['metrics']['evals_per_s']['value']:.1f} evals/s"
             if runs[side][-1]["metrics"] else f"{side} {runs[side][-1]['error']}"
@@ -161,10 +211,15 @@ def main() -> int:
         print("    pair ratios: " + " ".join(f"{x:.3f}" for x in r["pair_ratios"]))
     bad = [f"{side} pair {i + 1}: " + (r["error"] if r["metrics"] is None
                                         else f"correct={r['correct']} failed={r['failed']}")
-           for side in SIDES for i, r in enumerate(runs[side])
-           if not r["correct"] or r["failed"]]
+           for side in SIDES for i, r in enumerate(runs[side]) if not clean(r)]
     for msg in bad:
         print(f"  not clean: {msg}")
+    path = os.path.join(roots["change"], f"BENCH_{args.workload}_{parent_rev}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench_record(args.workload, parent_rev, seconds, seeds,
+                               [seeds[i] for i in pairs], runs, rows), fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
     return 1 if bad else 0
 
 
