@@ -144,10 +144,10 @@ def confidence_grid(
 ) -> ConfidenceGrid:
     """The confidence set from the outcome columns of its lattice's points.
 
-    The set takes the columns' one `variant` as its label; columns of more
-    than one test are a ValueError. An error row is recorded as rejected with
-    its error flag set; more than 50% failing points aborts the run, naming
-    the first 10 failures in lattice order.
+    The set takes the columns' `variant` as its label. An error row is
+    recorded as rejected with its error flag set (NaN statistic and critical
+    value, df 0); more than 50% failing points aborts the run, naming the
+    first 10 failures in lattice order.
     """
     n = points.shape[0]
     failed = sorted(cols.errors)
@@ -156,21 +156,20 @@ def confidence_grid(
             f"evaluator failed on {len(failed)}/{n} lattice points; first failures: "
             + "; ".join(f"point {points[i].tolist()}: {cols.errors[i]}" for i in failed[:10])
         )
-    variants = sorted(set(cols.variants))
-    if len(variants) > 1:
-        raise ValueError(f"results of more than one test: {', '.join(variants)}")
     errors = np.zeros(n, dtype=int)
     errors[failed] = 1
+    blank = errors.astype(bool)
+    stats, crits = np.where(blank, np.nan, cols.stat), np.where(blank, np.nan, cols.crit)
     return ConfidenceGrid(
         spec=spec,
         level=level,
         points=points,
-        stats=cols.stat,
-        dfs=cols.df,
-        crits=cols.crit,
-        accepts=cols.accept.astype(int),
+        stats=stats,
+        dfs=np.where(blank, 0, cols.df),
+        crits=crits,
+        accepts=(stats <= crits).astype(int),
         errors=errors,
-        variant=variants[0] if variants else "S",
+        variant=cols.variant,
         metadata=dict(metadata or {}),
     )
 
@@ -183,22 +182,25 @@ def collect_results(
     metadata: Optional[dict] = None,
 ) -> ConfidenceGrid:
     """The confidence set from one TestResult, or the exception raised, per point,
-    by `confidence_grid` on the outcomes' columns."""
+    by `confidence_grid` on the outcomes' columns. Results of more than one
+    test are a ValueError, once the set has passed its 50% abort."""
     n = points.shape[0]
     if len(outcomes) != n:
         raise ValueError(f"{len(outcomes)} outcomes for {n} lattice points")
-    stat, crit = np.full(n, np.nan), np.full(n, np.nan)
-    df, accept = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    stat, crit, df = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, dtype=int)
     errors, variants = {}, set()
     for i, r in enumerate(outcomes):
         if isinstance(r, Exception):
             errors[i] = r
             continue
         variants.add(r.variant)
-        stat[i], df[i], crit[i], accept[i] = r.statistic, r.df, r.critical_value, r.accept
-    cols = Columns(stat=stat, df=df, crit=crit, accept=accept, errors=errors,
-                   variants=tuple(variants), level=level)
-    return confidence_grid(spec, level, points, cols, metadata)
+        stat[i], df[i], crit[i] = r.statistic, r.df, r.critical_value
+    variants = sorted(variants) or ["S"]
+    cols = Columns(variants[0], stat, df, crit, level, None, errors, None, np.zeros(n, bool))
+    grid = confidence_grid(spec, level, points, cols, metadata)
+    if len(variants) > 1:
+        raise ValueError(f"results of more than one test: {', '.join(variants)}")
+    return grid
 
 
 def invert_lattice(

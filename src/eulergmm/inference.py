@@ -8,10 +8,10 @@ statistic is robust to many weak instruments.
 
 Each test's batch function is a per-point front (`_coefficients`), which maps
 its points to coefficient rows, then the test's columnar core, which returns
-the raw outcome columns of every row, then one TestResult per row
-(`_results`). `lattice_columns` feeds a lattice of model points to the same
-core through the model's coefficient map over parameter columns, and returns
-the outcome columns (`Columns`) with no object per point.
+the outcome columns of every row (`Columns`), then one TestResult per row
+(`Columns.results`). `lattice_columns` feeds a lattice of model points to the
+same core through the model's coefficient map over parameter columns, and
+returns its columns with no object per point.
 """
 
 from __future__ import annotations
@@ -739,26 +739,31 @@ def _coefficients(thetas: Sequence, sys: MomentSystem, jacobian: bool = False):
     coefficient vector b as an array. J is N x m x p, or None when not asked
     for. A point whose map fails, or maps to a non-finite b or Jacobian,
     carries its exception in `errors` (keyed by row) and NaN rows in B and J.
+    A point whose map or Jacobian overflows or divides by zero (an
+    ArithmeticError, or numpy's RuntimeWarning raised as an error) has a NaN
+    coefficient row: it is refused as a map that is not finite, as its row
+    is in a lattice.
     """
     n = len(thetas)
-    B, Js, errors = np.full((n, sys.Y.shape[1]), np.nan), [], {}
+    B, Js, errors = np.full((n, sys.Y.shape[1]), np.nan), {}, {}
     for i, theta in enumerate(thetas):
         try:
             if jacobian and isinstance(theta, np.ndarray):
                 raise ValueError("split-sample S needs model parameters, not a coefficient vector")
             B[i] = _checked_b(theta, sys) if isinstance(theta, np.ndarray) else sys.coeff(theta)
             if jacobian:
-                Js.append(np.asarray(sys.jacobian(theta), dtype=float))
+                Js[i] = np.asarray(sys.jacobian(theta), dtype=float)
+        except (ArithmeticError, RuntimeWarning):  # named by `_finite_rows`
+            B[i] = np.nan
         except Exception as exc:  # recorded on its own row
             errors[i] = exc
     J = None
-    if jacobian:  # Js holds the Jacobian of every row without an error
-        shape = (n,) + (Js[0].shape if Js else (B.shape[1], 0))
-        if len(Js) == n:
-            J = np.array(Js).reshape(shape)
+    if jacobian:  # Js holds the Jacobian of every row that has one, in row order
+        if Js and len(Js) == n:
+            J = np.array(list(Js.values()))
         else:
-            J = np.full(shape, np.nan)
-            J[[i for i in range(n) if i not in errors]] = np.reshape(Js, (len(Js),) + shape[1:])
+            J = np.full((n,) + (next(iter(Js.values())).shape if Js else (B.shape[1], 0)), np.nan)
+            J[list(Js)] = np.reshape(list(Js.values()), (len(Js),) + J.shape[1:])
     _finite_rows(B, J, errors, lambda i: repr(thetas[i]))
     return B, J, errors
 
@@ -799,90 +804,48 @@ def _lattice_rows(model: ModelKind, points, sys: MomentSystem, fixed: dict, jaco
     return B, J, errors
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # mutable: a frozen __init__ adds about 1 us to a batch of one
 class Columns:
     """One batch's test outcomes, a column per field and a row per point.
 
-    A row without an error holds what its TestResult holds. An error row has
-    its exception in `errors` (keyed by row), NaN in `stat`, `crit` and
-    `d_hat`, 0 in `df` and False in `accept` and `flagged`. `variants` holds
-    the label of every test whose outcomes these are: one for a batch.
-    `d_hat` is None for a test that does not concentrate out d.
+    `variant` is the test's label. `df` and `crit` are one number for the
+    batch, as a core gives them, or one per row, as `grids.collect_results`
+    gives them to `grids.confidence_grid`; `results()` reads a core's. A row
+    in `errors` (keyed by row) has that exception for its outcome; its other
+    columns hold none, and a confidence set blanks them. `d_hat` is None for
+    a test that does not concentrate out d.
     """
 
+    variant: str
     stat: np.ndarray
-    df: np.ndarray
-    crit: np.ndarray
-    accept: np.ndarray
-    errors: dict
-    variants: tuple[str, ...]
+    df: int | np.ndarray
+    crit: float | np.ndarray
     level: float
-    bandwidth: Optional[int] = None
-    d_hat: Optional[np.ndarray] = None
-    flagged: Optional[np.ndarray] = None
+    bandwidth: Optional[int]
+    errors: dict
+    d_hat: Optional[np.ndarray]
+    flagged: np.ndarray
 
     def results(self) -> list:
-        """The TestResult of every row without an error, else the row's error."""
-        n = len(self.stat)
-        d_hat = [None] * n if self.d_hat is None else self.d_hat.tolist()
-        flagged = [False] * n if self.flagged is None else self.flagged.tolist()
+        """The TestResult of every row without an error, else the row's error or
+        the ValueError its TestResult raised (a statistic or critical value
+        that is not finite)."""
+        df, crit = self.df, self.crit
+        d_hat = [None] * len(self.stat) if self.d_hat is None else self.d_hat.tolist()
         out = []
-        for i, (s, df, crit, d, f) in enumerate(zip(
-                self.stat.tolist(), self.df.tolist(), self.crit.tolist(), d_hat, flagged)):
-            exc = self.errors.get(i)
-            out.append(exc if exc is not None else TestResult(
-                statistic=s, df=df, critical_value=crit, level=self.level, accept=s <= crit,
-                d_hat=d, bandwidth=self.bandwidth, variant=self.variants[0], ridge_flagged=f,
-            ))
+        for i, (s, d, f) in enumerate(zip(self.stat.tolist(), d_hat, self.flagged.tolist())):
+            outcome = self.errors.get(i)
+            if outcome is None:
+                try:
+                    outcome = TestResult(
+                        statistic=s, df=df, critical_value=crit, level=self.level,
+                        accept=s <= crit, d_hat=d, bandwidth=self.bandwidth,
+                        variant=self.variant, ridge_flagged=f,
+                    )
+                except ValueError as exc:
+                    outcome = exc
+            out.append(outcome)
         return out
-
-
-def _results(variant: str, stat: np.ndarray, df: int, crit: float, level: float,
-             bandwidth: int, errors: dict, d_hat, flagged: np.ndarray) -> list:
-    """The TestResult of every row of a core's raw columns without an error,
-    else the row's error or the ValueError its TestResult raised. `d_hat` is
-    None for a statistic that does not concentrate out d."""
-    d_hat = [None] * len(stat) if d_hat is None else d_hat.tolist()
-    out = []
-    for i, (s, d, f) in enumerate(zip(stat.tolist(), d_hat, flagged.tolist())):
-        outcome = errors.get(i)
-        if outcome is None:
-            try:
-                outcome = TestResult(
-                    statistic=s, df=df, critical_value=crit, level=level, accept=s <= crit,
-                    d_hat=d, bandwidth=bandwidth, variant=variant, ridge_flagged=f,
-                )
-            except ValueError as exc:
-                outcome = exc
-        out.append(outcome)
-    return out
-
-
-def _columns(variant: str, stat: np.ndarray, df: int, crit: float, level: float,
-             bandwidth: int, errors: dict, d_hat, flagged: np.ndarray) -> Columns:
-    """The Columns of a core's raw columns. A row without an error whose
-    statistic, or whose critical value, is not finite gets the ValueError its
-    TestResult would raise (as `_results` gives it); then every error row is
-    blanked."""
-    n = len(stat)
-    finite = np.isfinite(stat)
-    if np.count_nonzero(finite) < n:
-        for i in np.flatnonzero(~finite).tolist():
-            errors.setdefault(i, ValueError(f"{variant} statistic is not finite: {float(stat[i])!r}"))
-    if not math.isfinite(crit):
-        for i in range(n):
-            errors.setdefault(i, ValueError(f"{variant} critical_value is not finite: {crit!r}"))
-    df, crit = np.full(n, df), np.full(n, crit)
-    if errors:  # the core's own arrays, blanked in place
-        rows = list(errors)
-        stat[rows] = crit[rows] = np.nan
-        df[rows] = 0
-        flagged[rows] = False
-        if d_hat is not None:
-            d_hat[rows] = np.nan
-    return Columns(stat=stat, df=df, crit=crit, accept=stat <= crit, errors=errors,
-                   variants=(variant,), level=level, bandwidth=bandwidth, d_hat=d_hat,
-                   flagged=flagged)
 
 
 def _minimized(B: np.ndarray, errors: dict, sys: MomentSystem, cfg: HACConfig):
@@ -909,11 +872,11 @@ def _minimized(B: np.ndarray, errors: dict, sys: MomentSystem, cfg: HACConfig):
 
 
 def _s_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
-               split: Optional[SplitSpec]) -> tuple:
+               split: Optional[SplitSpec]) -> Columns:
     """S at every coefficient row (J and `split` are not read)."""
     stat, d_hat, flagged = _minimized(B, errors, sys, cfg)
-    return ("S", stat, sys.df, chi2_quantile(sys.df, level), level,
-            cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
+    return Columns("S", stat, sys.df, chi2_quantile(sys.df, level), level,
+                   cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
 
 
 def _one(outcomes: list) -> TestResult:
@@ -933,7 +896,7 @@ def s_statistics(
     The points are minimised together, BATCH_CHUNK at a time.
     """
     B, _, errors = _coefficients(thetas, sys)
-    return _results(*_s_columns(B, None, errors, sys, cfg, level, None))
+    return _s_columns(B, None, errors, sys, cfg, level, None).results()
 
 
 def s_statistic(
@@ -1012,7 +975,7 @@ def _sup_split(B: np.ndarray, d: np.ndarray, sys: MomentSystem, cfg: HACConfig) 
 
 
 def _qll_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
-                 split: Optional[SplitSpec]) -> tuple:
+                 split: Optional[SplitSpec]) -> Columns:
     """qLL-S at every coefficient row (J and `split` are not read)."""
     key = (sys.k_z, level)
     if key not in QLL_CRITICAL_VALUES:
@@ -1030,8 +993,8 @@ def _qll_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: f
                 f"subsample HAC covariance singular even after ridge (d={float(d_hat[i])!r})"
             ))
     stat += (10.0 / 11.0) * s
-    return ("qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
-            cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
+    return Columns("qLL-S(sup-split)", stat, sys.df, QLL_CRITICAL_VALUES[key], level,
+                   cfg.resolve_bandwidth(sys.T), errors, d_hat, flagged)
 
 
 def qll_s_statistics(
@@ -1042,7 +1005,7 @@ def qll_s_statistics(
 ) -> list:
     """`qll_s_statistic` at every point: its TestResult, or the exception it raised."""
     B, _, errors = _coefficients(thetas, sys)
-    return _results(*_qll_columns(B, None, errors, sys, cfg, level, None))
+    return _qll_columns(B, None, errors, sys, cfg, level, None).results()
 
 
 def qll_s_statistic(
@@ -1062,18 +1025,13 @@ def qll_s_statistic(
 # --- split-sample S ----------------------------------------------------------
 
 
-def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
-                   split: SplitSpec) -> tuple:
-    """Split-sample S at every coefficient row B and its Jacobian J (N x m x p).
+def _split_fit(sys: MomentSystem, split: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(Q2, Y2): the second subsample's fitted instruments Z2 P1 and its Y.
 
-    The fit P1 of Y on the first subsample's instruments is made once. A row's
-    contributions (Z2 P1 J) * (Y2 b), their HAC and solve are stacked,
-    BATCH_CHUNK rows at a time, each row in its own matrix products. A row
-    whose products overflow has a covariance that is not finite: it is an
-    error row, and no warning escapes.
+    Y and the excluded instruments are demeaned over the full sample, and P1
+    is the fit of Y on the first subsample's instruments. A subsample too
+    short for its instruments, or a singular Z1'Z1, is a ValueError.
     """
-    if sys.jacobian is None:
-        raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")
     T = sys.T
     T1 = int(np.floor(split.first_fraction * T))
     start2 = T1 + split.gap
@@ -1091,7 +1049,22 @@ def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level:
         P1 = np.linalg.solve(Z1.T @ Z1, Z1.T @ Ybar[:T1])
     except np.linalg.LinAlgError:
         raise ValueError("singular Z'Z on the first subsample") from None
-    Q2, Y2 = Zbar[start2:] @ P1, Ybar[start2:]
+    return Zbar[start2:] @ P1, Ybar[start2:]
+
+
+def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level: float,
+                   split: SplitSpec) -> Columns:
+    """Split-sample S at every coefficient row B and its Jacobian J (N x m x p).
+
+    The fit of the first subsample (`_split_fit`) is made once per call. A row's contributions (Z2 P1 J) * (Y2 b), their HAC and solve are
+    stacked, BATCH_CHUNK rows at a time, each row in its own matrix products.
+    A row whose products overflow has a covariance that is not finite: it is
+    an error row, and no warning escapes.
+    """
+    if sys.jacobian is None:
+        raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")
+    Q2, Y2 = _split_fit(sys, split)
+    T2 = len(Y2)
 
     ok = np.flatnonzero([i not in errors for i in range(len(B))])
     n_p = J.shape[-1] if ok.size else 0
@@ -1110,8 +1083,8 @@ def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level:
                     "HAC covariance singular even after ridge (split-sample Omega)"
                 )
     crit = chi2_quantile(n_p, level) if n_p else math.nan
-    return ("split-S", stat, n_p, crit, level, cfg.resolve_bandwidth(T2), errors, None,
-            flagged)
+    return Columns("split-S", stat, n_p, crit, level, cfg.resolve_bandwidth(T2), errors, None,
+                   flagged)
 
 
 def split_sample_s_statistics(
@@ -1123,7 +1096,7 @@ def split_sample_s_statistics(
 ) -> list:
     """`split_sample_s_statistic` at every point: its TestResult, or the exception it raised."""
     B, J, errors = _coefficients(thetas, sys, jacobian=True)
-    return _results(*_split_columns(B, J, errors, sys, cfg, level, split))
+    return _split_columns(B, J, errors, sys, cfg, level, split).results()
 
 
 def split_sample_s_statistic(
@@ -1149,8 +1122,7 @@ def split_sample_s_statistic(
 STATISTICS = {"S": s_statistics, "qll": qll_s_statistics, "split": split_sample_s_statistics}
 #: The columnar core of each test, by the same name: coefficient rows B,
 #: Jacobian rows J (read by split-sample S alone), the rows' errors, the
-#: system, HAC, level and split layout in; the raw columns out, as the
-#: arguments of `_results` (per-point fronts) or `_columns` (a lattice).
+#: system, HAC, level and split layout in; the test's `Columns` out.
 _CORES = {"S": _s_columns, "qll": _qll_columns, "split": _split_columns}
 
 
@@ -1173,16 +1145,28 @@ def lattice_columns(
     core turns those into the outcome columns: no object is made per point.
     Each row equals the outcome of its point alone, bit for bit, error text
     included, but for one case: where a point's float arithmetic raises
-    (ZeroDivisionError or OverflowError: CAC's 1 / (sigma delta) at sigma =
-    5e-324, IAC's kappa^2 for kappa beyond about 1e154 or below 1e-162), its
-    column row, inf or NaN there, is the ValueError of a map that is not
-    finite.
+    (CAC's 1 / (sigma delta) at sigma = 5e-324, IAC's kappa^2 for kappa
+    beyond about 1e154 or below 1e-162), both are the ValueError of a map
+    that is not finite, the point's listing NaN coefficients and the
+    column's the inf or NaN it computed.
     """
     if statistic not in _CORES:
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {', '.join(_CORES)}")
     B, J, errors = _lattice_rows(ModelKind(model), points, sys, fixed or {},
                                  jacobian=statistic == "split")
-    return _columns(*_CORES[statistic](B, J, errors, sys, cfg, level, split))
+    cols = _CORES[statistic](B, J, errors, sys, cfg, level, split)
+    # a row without an error whose statistic or critical value is not finite
+    # gets the ValueError its TestResult would raise (`Columns.results`)
+    finite = np.isfinite(cols.stat)
+    if np.count_nonzero(finite) < finite.size:
+        for i in np.flatnonzero(~finite).tolist():
+            cols.errors.setdefault(i, ValueError(
+                f"{cols.variant} statistic is not finite: {float(cols.stat[i])!r}"))
+    if not math.isfinite(cols.crit):
+        for i in range(len(finite)):
+            cols.errors.setdefault(i, ValueError(
+                f"{cols.variant} critical_value is not finite: {cols.crit!r}"))
+    return cols
 
 
 # --- first-stage diagnostics -------------------------------------------------

@@ -303,10 +303,14 @@ class TestLatticeColumns:
         for i, r in enumerate(expected):
             # where a float's arithmetic raises (CAC's sigma * delta underflows
             # to 0 at sigma = 5e-324; IAC's kappa^2 at kappa = 1e-320, in the
-            # Jacobian), a column's gives inf or NaN, a map that is not finite
-            if isinstance(r, (ZeroDivisionError, OverflowError)):
+            # Jacobian), the point's coefficients are NaN and a column's inf or
+            # NaN: both the ValueError of a map that is not finite
+            if isinstance(r, Exception) and str(r) != str(cols.errors.get(i)):
                 assert points[i][1] in (5e-324, 1e-320)
-                assert re.fullmatch(r"(coefficients|Jacobian entries) of \w+\(.*\) are not finite: .*",
+                assert re.fullmatch(rf"coefficients of {re.escape(repr(each[i]))} are not "
+                                    r"finite: \[nan(, nan)*\]", str(r))
+                assert re.fullmatch(rf"(coefficients|Jacobian entries) of "
+                                    rf"{re.escape(repr(each[i]))} are not finite: .*",
                                     str(cols.errors[i]))
                 expected[i] = cols.errors[i]
         assert_same(cols.results(), expected)
@@ -315,13 +319,34 @@ class TestLatticeColumns:
 
 
     def test_columns_of_outcomes_give_them_back(self):
-        # Columns built with the defaults (no d_hat, no ridge flags), as
-        # `collect_results` builds them, give their TestResults and errors
+        # Columns without bandwidth, d_hat or ridge flags give their
+        # TestResults and errors
         ok = inference.TestResult(statistic=1.0, df=2, critical_value=3.0, level=0.9, accept=True)
-        cols = inference.Columns(stat=np.array([1.0, np.nan]), df=np.array([2, 0]),
-                                 crit=np.array([3.0, np.nan]), accept=np.array([True, False]),
-                                 errors={1: ValueError("x")}, variants=("S",), level=0.9)
+        cols = inference.Columns(variant="S", stat=np.array([1.0, np.nan]), df=2,
+                                 crit=3.0, level=0.9, bandwidth=None,
+                                 errors={1: ValueError("x")}, d_hat=None,
+                                 flagged=np.zeros(2, bool))
         assert_same(cols.results(), [ok, ValueError("x")])
+
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    @pytest.mark.parametrize("model, point", [("CAC", (0.5, 1e-320, 1.0)),
+                                              ("IAC", (0.5, 1e-10, 1e308))])
+    def test_numpy_scalar_point_is_the_float_error_row(self, systems, statistic, model, point):
+        # invert_test hands its evaluator rows of the lattice array: a point of
+        # numpy scalars whose map overflows is, as the same point in Python
+        # floats, a map that is not finite, not numpy's warning; raised as an
+        # error, the warning leaves its coefficients NaN
+        params = {"CAC": CACParams, "IAC": StructuralParams}[model]
+        floats, scalars = params(*point), params(*np.array(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (expected,), (got,) = (STATISTICS[statistic][0]([p], systems[model])
+                                   for p in (floats, scalars))
+        assert type(got) is type(expected) is ValueError
+        assert str(expected).startswith(f"coefficients of {floats!r} are not finite: ")
+        width = systems[model].Y.shape[1]
+        assert str(got) == f"coefficients of {scalars!r} are not finite: {[np.nan] * width}"
 
 
 class TestCliGrid:

@@ -171,6 +171,19 @@ class TestInvertTest:
         with pytest.raises(ValueError, match="results of more than one test: S, split-S"):
             invert_test(mixed, SMALL, 0.90)
 
+    def test_abort_before_the_label_check(self):
+        # most points failing and the rest of two tests: the 50% abort, as a
+        # set of one test with the same failures gives it
+        labelled = lambda point: dataclasses.replace(ball_evaluator()(point), variant="split-S")
+
+        def mostly_failing(point):
+            if point[0] < 0.5:
+                raise RuntimeError("nope")
+            return (labelled if point[1] < 0 else ball_evaluator())(point)
+
+        with pytest.raises(RuntimeError, match="evaluator failed on 45/81 lattice points"):
+            invert_test(mostly_failing, SMALL, 0.90)
+
     def test_majority_errors_abort(self):
         def always(point):
             raise RuntimeError("nope")
