@@ -1056,10 +1056,11 @@ def _split_columns(B, J, errors: dict, sys: MomentSystem, cfg: HACConfig, level:
                    split: SplitSpec) -> Columns:
     """Split-sample S at every coefficient row B and its Jacobian J (N x m x p).
 
-    The fit of the first subsample (`_split_fit`) is made once per call. A row's contributions (Z2 P1 J) * (Y2 b), their HAC and solve are
-    stacked, BATCH_CHUNK rows at a time, each row in its own matrix products.
-    A row whose products overflow has a covariance that is not finite: it is
-    an error row, and no warning escapes.
+    The fit of the first subsample (`_split_fit`) is made once per call. A
+    row's contributions (Z2 P1 J) * (Y2 b), their HAC and solve are stacked,
+    BATCH_CHUNK rows at a time, each row in its own matrix products. A row
+    whose products overflow has a covariance that is not finite: it is an
+    error row, and no warning escapes.
     """
     if sys.jacobian is None:
         raise ValueError("split-sample statistic needs an analytic coefficient Jacobian")

@@ -16,11 +16,12 @@ Three per-point loops of K points (default 200) each:
   system per point (`weak_iv` of the same file).
 
 The change checkout's `perfbench/workloads.py` supplies the inputs and the
-coefficient maps of `mc_size`; the inputs are drawn before the first round. A round times each side's loop in CPU time,
-the parent first in even rounds and the change first in odd ones. Per loop it
-prints the median of the rounds' change/parent ratios, their quartiles, the
-rounds each side won, each side's median time a point, and whether both sides
-gave the same statistics bit for bit.
+coefficient maps of `mc_size`; the inputs are drawn before the first round.
+A round times each side's loop in CPU time, the parent first in even rounds
+and the change first in odd ones. Per loop it prints the median of the
+rounds' change/parent ratios, their quartiles, the rounds each side won,
+each side's median time a point, and whether both sides gave the same
+statistics bit for bit.
 """
 
 from __future__ import annotations
